@@ -102,7 +102,7 @@ func (k *keyGen) next() request {
 
 // schedule draws n requests and, when reloadEvery > 0, replaces the
 // request due at reloadEvery/2 + j·reloadEvery with a POST /reload, so
-// every window or rung as long as reloadEvery holds exactly one reload.
+// every window as long as reloadEvery holds exactly one reload.
 func (k *keyGen) schedule(n int, rate float64, reloadEvery time.Duration) []request {
 	reqs := make([]request, n)
 	for i := range reqs {
@@ -260,19 +260,16 @@ func (g *loadgen) run(reqs []request, rate float64, keep func(int) bool) []outco
 
 // phaseStats summarizes one phase's outcomes.
 type phaseStats struct {
-	reads      []float64 // latency from due time, ms; +Inf for failures
-	late       []float64 // generator lateness of requests it waited for, ms
-	reloads    []float64 // reload latency from send, s
-	failed     int
-	overrunSec float64 // last completion past the schedule's end
+	reads   []float64 // latency from due time, ms; +Inf for failures
+	late    []float64 // generator lateness of requests it waited for, ms
+	reloads []float64 // reload latency from send, s
+	failed  int
 }
 
-func summarize(out []outcome, rate float64) phaseStats {
+func summarize(out []outcome) phaseStats {
 	var ps phaseStats
-	var last time.Duration
 	for i := range out {
 		o := &out[i]
-		last = max(last, o.done)
 		if o.slept {
 			ps.late = append(ps.late, ms(o.sent-o.due))
 		}
@@ -289,8 +286,6 @@ func summarize(out []outcome, rate float64) phaseStats {
 			ps.reads = append(ps.reads, ms(o.done-o.due))
 		}
 	}
-	end := time.Duration(float64(len(out)) / rate * float64(time.Second))
-	ps.overrunSec = (last - end).Seconds()
 	return ps
 }
 

@@ -9,7 +9,7 @@
 //
 // Usage, from the repository root:
 //
-//	bash perfbench/run.sh --workload fit-10k --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload fit-10k --seed 1 --seconds 25 --trace 0
 //
 // --trace 1 runs the same workload with spans recorded around every
 // layer call and prints the per-layer metrics instead.
@@ -26,7 +26,7 @@ import (
 	"time"
 )
 
-// workload is one benchmark input: the world, the fit that produces
+// workload is one benchmark input: the world, the fits that produce
 // its snapshot, and the traffic its serve phase sends.
 type workload struct {
 	name          string
@@ -35,54 +35,39 @@ type workload struct {
 	// workers and shards are the fit's Config.Workers and Config.Shards;
 	// shards > 1 writes a sharded snapshot, served by the router tier.
 	workers, shards int
-	// fitReps workloads spend most of the run on repeated cold fits;
-	// the others fit twice: once to make the snapshot they serve, once
-	// after the traffic.
+	// fitReps workloads spend most of the run on repeated cold fits and
+	// take setup_s and peak_live_heap_mb from them; the others fit minFits
+	// times and take both from the serve phase.
 	fitReps bool
 
-	zipf    bool          // Zipf-skewed keys (else uniform)
-	refRate float64       // requests/s at which lookup latency is reported
-	window  time.Duration // length of one reference window
-	ladder  []float64     // rates tried for max_rate_at_slo, ascending
-	rung    time.Duration // length of one ladder rung
-	// reloadEvery schedules a POST /reload in the middle of every such
-	// stretch of reference-window traffic; 0 times reloads on the idle
-	// tier between passes instead.
-	reloadEvery time.Duration
-	slo         time.Duration // p99 latency limit for a ladder rung
+	zipf        bool          // Zipf-skewed keys (else uniform)
+	refRate     float64       // requests/s of the reference windows
+	window      time.Duration // length of one reference window
+	serveShare  float64       // share of --seconds spent in reference windows
+	reloadEvery time.Duration // a POST /reload mid-way through every such stretch of the windows; 0 = none
 }
 
 var workloads = []*workload{
 	{
 		name: "fit-10k", users: 10000, cities: 600, workers: 1, fitReps: true,
-		zipf: true, refRate: 8000, window: time.Second,
-		ladder: ladder(17500, 90000, 1.15), rung: 300 * time.Millisecond, slo: 10 * time.Millisecond,
+		zipf: true, refRate: 8000, window: time.Second, serveShare: 0.3,
 	},
 	{
 		name: "fit-2k-wide", users: 2000, cities: 3000, workers: 2, fitReps: true,
-		zipf: true, refRate: 8000, window: time.Second,
-		ladder: ladder(17500, 90000, 1.15), rung: 300 * time.Millisecond, slo: 10 * time.Millisecond,
-	},
-	{
-		name: "serve-zipf", users: 10000, cities: 600,
-		zipf: true, refRate: 8000, window: time.Second,
-		ladder: ladder(17500, 90000, 1.15), rung: 400 * time.Millisecond, slo: 10 * time.Millisecond,
+		zipf: true, refRate: 8000, window: time.Second, serveShare: 0.3,
 	},
 	{
 		name: "serve-routed-reload", users: 10000, cities: 600, shards: 4,
-		refRate: 2000, window: 2 * time.Second, reloadEvery: 2 * time.Second,
-		ladder: ladder(10000, 70000, 1.15), rung: 300 * time.Millisecond, slo: 10 * time.Millisecond,
+		refRate: 2000, window: 4 * time.Second, serveShare: 0.5, reloadEvery: 4 * time.Second,
 	},
 }
 
-// ladder returns the geometric rate ladder from lo up to hi.
-func ladder(lo, hi, step float64) []float64 {
-	var out []float64
-	for r := lo; r <= hi; r *= step {
-		out = append(out, math.Round(r))
-	}
-	return out
-}
+// minFits and minWindows are the fewest fits and reference windows a
+// run takes a median over, however short --seconds is.
+const (
+	minFits    = 3
+	minWindows = 4
+)
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -161,24 +146,23 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 	}
 
 	// Fit phase: cold fits in child processes. Fit workloads repeat them
-	// for most of the budget; serve workloads fit once to make the
-	// snapshot they serve and once more after the traffic, so a single
-	// burst of load from elsewhere on the machine cannot set train_s.
+	// for what the serve phase leaves of the budget, less a tenth for the
+	// tier's set-up and reloads; the routed workload fits minFits times.
 	snap := filepath.Join(dir, "model.mlp")
 	if w.shards > 1 {
 		snap = filepath.Join(dir, "model.snapdir")
 	}
 	var fits []*fitReport
-	fit := func(snapshot string) error {
+	fit := func() error {
 		rep := len(fits)
 		p := fitParams{
-			Data: world, Snapshot: snapshot, TSV: filepath.Join(dir, "profiles.tsv"),
+			Data: world, Snapshot: snap, TSV: filepath.Join(dir, "profiles.tsv"),
 			Spans: filepath.Join(dir, fmt.Sprintf("fit-%d.spans", rep)),
 			Seed:  seed, Workers: w.workers, Shards: w.shards,
 			Trace:   traced && rep%2 == 0, // alternate, to measure the overhead
 			Quality: rep == 0,
 		}
-		if err := os.RemoveAll(snapshot); err != nil {
+		if err := os.RemoveAll(snap); err != nil {
 			return err
 		}
 		f, err := runFit(p)
@@ -197,7 +181,8 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 				tr.add(s)
 			}
 		}
-		fmt.Printf("fit %d: setup %.3fs train %.3fs peak %.1fMB digest %s", rep, f.SetupS, f.TrainS, f.PeakMB, f.Digest)
+		fmt.Printf("fit %d: setup %.3fs train %.3fs cpu %.3fs steal %.3fs peak %.1fMB digest %s",
+			rep, f.SetupS, f.TrainS, f.TrainCPU, f.StealS, f.PeakMB, f.Digest)
 		if p.Quality {
 			fmt.Printf(" home_acc100 %.4f multiloc_dr2 %.4f rel_acc100 %.4f", f.HomeACC, f.DR2, f.RelACC)
 		}
@@ -209,33 +194,25 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 		fmt.Println()
 		return nil
 	}
-	minReps, fitBudget := 3, budget*7/10
+	fitsWanted, fitBudget := minFits, time.Duration(0)
 	if traced {
-		minReps = 4
+		fitsWanted = minFits + 1
 	}
-	if !w.fitReps {
-		minReps, fitBudget = 1, 0
+	if w.fitReps {
+		fitBudget = time.Duration((1 - w.serveShare - 0.1) * float64(budget))
 	}
-	for start := time.Now(); len(fits) < minReps || time.Since(start) < fitBudget; {
-		if err := fit(snap); err != nil {
+	for start := time.Now(); len(fits) < fitsWanted || time.Since(start) < fitBudget; {
+		if err := fit(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Serve phase. Fit workloads serve for a few reference windows;
-	// serve workloads spend half the budget in them.
-	windows := 3
-	if !w.fitReps {
-		windows = max(passes, int(math.Round(0.5*budget.Seconds()/w.window.Seconds())))
-	}
+	// Serve phase: the workload's share of the budget in reference
+	// windows.
+	windows := max(minWindows, int(math.Round(w.serveShare*budget.Seconds()/w.window.Seconds())))
 	sv, err := serveWorkload(w, world, snap, seed, windows, tr)
 	if err != nil {
 		return nil, err
-	}
-	if !w.fitReps {
-		if err := fit(filepath.Join(dir, "refit-"+filepath.Base(snap))); err != nil {
-			return nil, err
-		}
 	}
 
 	// The first fit is scored (scoring the 3,000-city world takes longer
@@ -257,15 +234,15 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 		}
 		return median(xs)
 	}
-	train := func(f *fitReport) float64 { return f.TrainS }
+	train := func(f *fitReport) float64 { return f.TrainCPU }
 	if !traced {
-		set("train_s", "s", pick(train, false))
+		set("train_cpu_s", "s", pick(train, false))
 		set("home_acc100", "ratio", fits[0].HomeACC)
 		set("multiloc_dr2", "ratio", fits[0].DR2)
 		set("rel_acc100", "ratio", fits[0].RelACC)
 		if w.fitReps {
 			set("setup_s", "s", pick(func(f *fitReport) float64 { return f.SetupS }, false))
-			set("peak_mem_mb", "MB", pick(func(f *fitReport) float64 { return f.PeakMB }, false))
+			set("peak_live_heap_mb", "MB", pick(func(f *fitReport) float64 { return f.PeakMB }, false))
 		}
 	} else {
 		for name := range fits[0].Layers { // fit 0 is always traced
@@ -280,13 +257,11 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 		res.Correct = false
 	}
 	if !traced {
-		set("lookup_p50_ms", "ms", sv.p50)
-		set("lookup_p99_ms", "ms", sv.p99)
-		set("max_rate_at_slo", "1/s", sv.maxRate)
-		set("reload_s", "s", sv.reload)
+		set("cpu_us_per_request", "us", sv.cpuPerReq)
+		set("reload_cpu_s", "s", sv.reloadCPU)
 		if !w.fitReps {
 			set("setup_s", "s", sv.setup)
-			set("peak_mem_mb", "MB", sv.peakMB)
+			set("peak_live_heap_mb", "MB", sv.peakMB)
 		}
 	} else {
 		for k, v := range sv.layers {
@@ -301,7 +276,7 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 			set("dataset.load_s", "s", sv.datasetLoad)
 			set("dataset.mb_per_s", "MB/s", dataMB/sv.datasetLoad)
 		}
-		set("trace.overhead_train_s", "s", trainOverhead)
+		set("trace.overhead_train_cpu_s", "s", trainOverhead)
 		set("trace.overhead_lookup_p50_ms", "ms", sv.overheadP50)
 		spans := tr.snapshot()
 		printSelfTimes(spans)
@@ -310,7 +285,7 @@ func run(w *workload, seed int64, budget time.Duration, traced bool) (*result, e
 			return nil, err
 		}
 		fmt.Printf("wrote %d spans to %s\n", len(spans), path)
-		fmt.Printf("tracing overhead: train_s %+.4f s (traced minus untraced fits), lookup_p50_ms %+.4f ms (traced minus untraced windows)\n",
+		fmt.Printf("tracing overhead: train_cpu_s %+.4f s (traced minus untraced fits), lookup_p50_ms %+.4f ms (traced minus untraced windows)\n",
 			trainOverhead, sv.overheadP50)
 		for name, unit := range layerUnits {
 			if _, ok := res.Metrics[name]; !ok {
@@ -337,7 +312,8 @@ var layerUnits = map[string]string{
 	"serve.router.backend_p50_us": "us", "serve.router.overhead_p50_us": "us",
 	"serve.router.backend_reload_s": "s", "serve.router.retries": "count", "serve.router.timeouts": "count",
 	"loadgen.late_p99_ms": "ms", "loadgen.sent": "count",
-	"trace.overhead_train_s": "s", "trace.overhead_lookup_p50_ms": "ms",
+	"loadgen.lookup_p50_ms": "ms", "loadgen.lookup_p99_ms": "ms",
+	"trace.overhead_train_cpu_s": "s", "trace.overhead_lookup_p50_ms": "ms",
 }
 
 func printMetrics(ms map[string]metric) {

@@ -2,7 +2,7 @@
 # Builds the benchmark from the checkout it sits in and runs it with the
 # given arguments. Run from the repository root:
 #
-#	bash perfbench/run.sh --workload fit-10k --seed 1 --seconds 20 --trace 0
+#	bash perfbench/run.sh --workload fit-10k --seed 1 --seconds 25 --trace 0
 #
 # Build outputs, fixtures and span files all stay under .bench_build/.
 set -euo pipefail

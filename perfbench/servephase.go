@@ -10,37 +10,40 @@ import (
 )
 
 // maxSamples caps the responses kept for the byte checks; sampleEvery
-// keeps every such request of each phase's schedule. passes is the
-// number of interleaved rounds of reference windows and ladder visits.
+// keeps every such request of each phase's schedule; idleReloads is the
+// number of reloads timed on the idle tier; setupReps is the number of
+// cold starts timed for setup_s when the fits do not give it.
 const (
 	maxSamples  = 4000
 	sampleEvery = 37
-	passes      = 3
+	idleReloads = 5
+	setupReps   = 3
 )
 
 // serveResult is what the serve phase measured.
 type serveResult struct {
-	setup, peakMB             float64
-	p50, p99, maxRate, reload float64
-	overheadP50               float64
-	datasetLoad               float64
-	layers                    map[string]float64
-	attempted, failed         int64
+	setup, peakMB       float64
+	p50, p99, cpuPerReq float64
+	reloadCPU           float64
+	overheadP50         float64
+	datasetLoad         float64
+	layers              map[string]float64
+	attempted, failed   int64
 }
 
-// serveWorkload starts the tier (cold, several times on serve
-// workloads), warms it, measures latency over reference windows at the
-// workload's reference rate, climbs the rate ladder, times reloads, and
-// byte-checks a sample of the responses.
+// serveWorkload starts the tier (cold, several times on the routed
+// workload), warms it, measures latency and CPU per request over
+// reference windows at the workload's reference rate, times reloads,
+// and byte-checks a sample of the responses.
 func serveWorkload(w *workload, world, snap string, seed int64, windows int, tr *tracer) (*serveResult, error) {
 	sr := &serveResult{layers: map[string]float64{}}
-	setupReps := 1
+	reps := 1
 	if !w.fitReps {
-		setupReps = 3
+		reps = setupReps
 	}
 	var setups, loads, snapLoads []float64
 	var t *tier
-	for i := 0; i < setupReps; i++ {
+	for i := 0; i < reps; i++ {
 		if t != nil {
 			if err := t.stop(); err != nil {
 				return nil, err
@@ -79,7 +82,7 @@ func serveWorkload(w *workload, world, snap string, seed int64, windows int, tr 
 				samples = append(samples, sample{reqs[i], o.body})
 			}
 		}
-		ps := summarize(out, rate)
+		ps := summarize(out)
 		sr.attempted += int64(n)
 		sr.failed += int64(ps.failed)
 		return ps
@@ -96,73 +99,58 @@ func serveWorkload(w *workload, world, snap string, seed int64, windows int, tr 
 	setTracing(false)
 	phase(w.refRate, w.window, w.reloadEvery) // warm-up: fills the LRU, not reported
 
-	// Passes: each runs its share of the reference windows, then one
-	// visit to every ladder rung, then (when the traffic carries none)
-	// reloads on the idle tier. Interleaving keeps a burst of load from
-	// elsewhere on the machine out of most samples of every figure, and
-	// every figure is a median over windows or passes. A traced run
-	// alternates traced and untraced windows; the difference of their
-	// medians is the tracing overhead.
-	var p50s, p99s, tracedP50s, late, reloads []float64
-	scores := make([][]float64, len(w.ladder))
-	win := 0
-	for pass := 0; pass < passes; pass++ {
-		for ; win < windows*(pass+1)/passes; win++ {
-			on := tr != nil && win%2 == 0
-			setTracing(on)
-			ps := phase(w.refRate, w.window, w.reloadEvery)
-			setTracing(false)
-			p50, p99 := percentile(ps.reads, 0.5), percentile(ps.reads, 0.99)
-			if on {
-				tracedP50s = append(tracedP50s, p50)
-			} else {
-				p50s = append(p50s, p50)
-				p99s = append(p99s, p99)
-			}
-			late = append(late, ps.late...)
-			reloads = append(reloads, ps.reloads...)
-			fmt.Printf("window %d at %.0f/s: p50 %.3f ms p99 %.3f ms generator late p99 %.3f ms failed %d traced=%v\n",
-				win, w.refRate, p50, p99, percentile(ps.late, 0.99), ps.failed, on)
+	// Reference windows. Latency and CPU per request pool every untraced
+	// window: a GC cycle or a burst of load from elsewhere lands in one
+	// window and not the next, so per-window figures are lumpier than the
+	// pool. A traced run alternates traced and untraced windows, and the
+	// difference of their p50s is the tracing overhead.
+	var reads, tracedReads, p99s, late []float64
+	var cpu float64
+	var served int
+	for win := 0; win < windows; win++ {
+		on := tr != nil && win%2 == 0
+		setTracing(on)
+		c0 := cpuNow()
+		ps := phase(w.refRate, w.window, w.reloadEvery)
+		c1 := cpuNow()
+		setTracing(false)
+		if on {
+			tracedReads = append(tracedReads, ps.reads...)
+		} else {
+			reads = append(reads, ps.reads...)
+			p99s = append(p99s, percentile(ps.reads, 0.99))
+			cpu += c1 - c0
+			served += len(ps.reads) + len(ps.reloads)
 		}
-		// The ladder runs without reloads: a reload stalls the tier for
-		// longer than a rung lasts, so a rung holding one would measure
-		// where in the rung it fell rather than the tier's capacity.
-		// Once a rung scores past 2 the tier is well over capacity, and
-		// the higher rungs of this pass take that score unvisited.
-		s := 0.0
-		for i, rate := range w.ladder {
-			if s <= 2 {
-				ps := phase(rate, w.rung, 0)
-				p99 := percentile(ps.reads, 0.99)
-				s = math.Max(p99/ms(w.slo), ps.overrunSec/(w.rung/10).Seconds())
-				if ps.failed > 0 {
-					s = math.Inf(1)
-				}
-			}
-			scores[i] = append(scores[i], s)
+		late = append(late, ps.late...)
+		fmt.Printf("window %d at %.0f/s: p50 %.4f ms p99 %.3f ms cpu %.2f us/req generator late p99 %.3f ms failed %d traced=%v\n",
+			win, w.refRate, percentile(ps.reads, 0.5), percentile(ps.reads, 0.99), (c1-c0)*1e6/float64(len(ps.reads)+len(ps.reloads)),
+			percentile(ps.late, 0.99), ps.failed, on)
+	}
+	// reload_cpu_s is taken on the idle tier, where the process's CPU
+	// time is the reload's own.
+	var reloads, reloadCPUs []float64
+	for i := 0; i < idleReloads; i++ {
+		c0, t0 := cpuNow(), time.Now()
+		status, body, err := g.conns[0].do(&request{method: http.MethodPost, path: "/reload"}, "")
+		took, cpu := time.Since(t0).Seconds(), cpuNow()-c0
+		sr.attempted++
+		if err != nil || status != http.StatusOK {
+			fmt.Printf("reload failed: status %d %v %s\n", status, err, body)
+			sr.failed++
+			continue
 		}
-		if w.reloadEvery == 0 {
-			for i := 0; i < 2; i++ {
-				t0 := time.Now()
-				status, body, err := g.conns[0].do(&request{method: http.MethodPost, path: "/reload"}, "")
-				sr.attempted++
-				if err != nil || status != http.StatusOK {
-					fmt.Printf("reload failed: status %d %v %s\n", status, err, body)
-					sr.failed++
-					continue
-				}
-				reloads = append(reloads, time.Since(t0).Seconds())
-			}
-		}
+		reloads = append(reloads, took)
+		reloadCPUs = append(reloadCPUs, cpu)
 	}
 	sr.peakMB = peak.stop()
-	sr.p50, sr.p99 = median(p50s), median(p99s)
-	sr.overheadP50 = zeroNaN(median(tracedP50s) - sr.p50)
+	sr.p50, sr.p99, sr.cpuPerReq = percentile(reads, 0.5), median(p99s), cpu*1e6/float64(served)
+	sr.overheadP50 = zeroNaN(percentile(tracedReads, 0.5) - sr.p50)
 	if latep99 := percentile(late, 0.99); latep99 > 0.25*sr.p99 {
 		fmt.Printf("FLAG: generator lateness p99 %.3f ms is %.0f%% of lookup p99 %.3f ms\n", latep99, 100*latep99/sr.p99, sr.p99)
 	}
-	sr.maxRate = maxRate(w.ladder, scores)
-	sr.reload = median(reloads)
+	sr.reloadCPU = median(reloadCPUs)
+	fmt.Printf("idle reloads: %v s, CPU %v s\n", reloads, reloadCPUs)
 
 	mismatches, err := checkBytes(world, snap, samples)
 	if err != nil {
@@ -228,6 +216,8 @@ func serveLayers(sr *serveResult, t *tier, tr *tracer, late, snapLoads []float64
 	L["serve.server.requests"] = float64(st.Requests)
 	L["serve.server.errors"] = float64(st.Errors)
 	L["loadgen.late_p99_ms"] = percentile(late, 0.99)
+	L["loadgen.lookup_p50_ms"] = sr.p50
+	L["loadgen.lookup_p99_ms"] = sr.p99
 	L["loadgen.sent"] = float64(sr.attempted)
 	if routed {
 		var rs serverStats
@@ -241,33 +231,4 @@ func serveLayers(sr *serveResult, t *tier, tr *tracer, late, snapLoads []float64
 		L["serve.router.timeouts"] = float64(rs.Timeouts)
 	}
 	return nil
-}
-
-// maxRate is the highest rate that meets the latency limit without a
-// growing backlog. A rung's load score is the larger of its p99 over
-// the limit and its backlog (the last answer's lag behind the end of
-// the schedule) over a tenth of the rung, +Inf when a request failed;
-// a rung passes at score ≤ 1. Scores are medians over the passes. The
-// result is the last rung below the first failing one, moved toward
-// that rung by where the score crosses 1 between them: a rung step is
-// wider than the run-to-run noise of the crossing, so interpolating
-// keeps the figure steady. Below the lowest rung the score is taken to
-// fall to 0 at zero load, so a tier slowed past the whole ladder (say,
-// by other tenants of the machine) still reads a low rate, not 0; a
-// failed request there does read 0.
-func maxRate(ladder []float64, scores [][]float64) float64 {
-	prev, prevScore := 0.0, 0.0
-	for i, rate := range ladder {
-		s := median(scores[i])
-		fmt.Printf("rung %.0f/s: median score %.3f over %v\n", rate, s, scores[i])
-		if s <= 1 {
-			prev, prevScore = rate, s
-			continue
-		}
-		if math.IsInf(s, 1) {
-			return prev
-		}
-		return prev + (rate-prev)*(1-prevScore)/(s-prevScore)
-	}
-	return prev
 }

@@ -2,8 +2,13 @@ package main
 
 import (
 	"math"
+	"os"
+	"runtime"
 	"runtime/metrics"
 	"sort"
+	"strconv"
+	"strings"
+	"syscall"
 	"time"
 )
 
@@ -35,22 +40,25 @@ func percentile(xs []float64, q float64) float64 {
 	return s[max(0, min(rank, len(s)-1))]
 }
 
-// heapPeak samples the Go heap in use (live plus unswept objects) every
-// millisecond until stop, and reports the highest value seen in MiB.
-// runtime/metrics reads this without stopping the world.
+// heapPeak samples the live heap (what the last GC marked reachable)
+// every millisecond until stop, and reports the highest value seen in
+// MiB. runtime/metrics reads this without stopping the world. The live
+// heap is what the program holds; the heap in use also counts garbage
+// not yet collected, and so moved by a tenth from fit to fit with where
+// the GC cycles happened to fall.
 type heapPeak struct {
 	stopCh chan struct{}
 	done   chan struct{}
 	peak   uint64
 }
 
-const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+const liveHeapMetric = "/gc/heap/live:bytes"
 
 func startHeapPeak() *heapPeak {
 	h := &heapPeak{stopCh: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
-		s := []metrics.Sample{{Name: heapObjectsMetric}}
+		s := []metrics.Sample{{Name: liveHeapMetric}}
 		t := time.NewTicker(time.Millisecond)
 		defer t.Stop()
 		for {
@@ -66,9 +74,43 @@ func startHeapPeak() *heapPeak {
 	return h
 }
 
-// stop ends sampling and returns the peak in MiB.
+// stop collects once more, so what is still held at the end counts,
+// ends sampling and returns the peak in MiB.
 func (h *heapPeak) stop() float64 {
+	runtime.GC()
 	close(h.stopCh)
 	<-h.done
-	return float64(h.peak) / (1 << 20)
+	s := []metrics.Sample{{Name: liveHeapMetric}}
+	metrics.Read(s)
+	return float64(max(h.peak, s[0].Value.Uint64())) / (1 << 20)
+}
+
+// cpuNow returns the CPU seconds (user + system, all threads) this
+// process has used.
+func cpuNow() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return math.NaN()
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
+}
+
+// stealNow returns the seconds the hypervisor has kept this machine's
+// CPUs from running it, summed over CPUs (the steal column of
+// /proc/stat); NaN where that is not available.
+func stealNow() float64 {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return math.NaN()
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return math.NaN()
+	}
+	ticks, err := strconv.ParseFloat(f[8], 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return ticks / 100 // USER_HZ
 }
