@@ -54,6 +54,15 @@ import (
 	"mlprofile/internal/synth"
 )
 
+// Name segments and field values of the retired PsiStore, TweetBatch
+// and Layout axes, held at the one setting left, so cell names keep
+// matching the rows of committed reports.
+const (
+	psiCell    = "venue"
+	batchCell  = "author"
+	layoutCell = "flat"
+)
+
 // Result is one benchmark matrix cell.
 type Result struct {
 	Name         string             `json:"name"`
@@ -163,70 +172,18 @@ func main() {
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
 		for _, dist := range []core.DistTableMode{core.DistTableOff, core.DistTableOn} {
-			for _, psi := range []core.PsiStoreMode{core.PsiStoreOff, core.PsiStoreOn} {
-				for _, draw := range []core.FusedDrawMode{core.FusedDrawOff, core.FusedDrawOn} {
-					for _, workers := range workerCounts {
-						cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-							BlockedSampler: kernel.blocked, DistTable: dist, PsiStore: psi, FusedDraw: draw}
-						initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-						r := Result{
-							Name: fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/batch=%s/layout=%s/workers=%d",
-								kernel.name, dist, psi, draw, cfg.TweetBatch, cfg.Layout, workers),
-							Kernel:       kernel.name,
-							Dist:         dist.String(),
-							Psi:          psi.String(),
-							Draw:         draw.String(),
-							Batch:        cfg.TweetBatch.String(),
-							Layout:       cfg.Layout.String(),
-							Workers:      workers,
-							InitSeconds:  initS,
-							SweepSeconds: perSweep,
-							RelsPerSec:   float64(rels) / perSweep,
-							PhaseSeconds: phases,
-						}
-						rep.Results = append(rep.Results, r)
-						logCell(&r)
-					}
+			for _, draw := range []core.FusedDrawMode{core.FusedDrawOff, core.FusedDrawOn} {
+				for _, workers := range workerCounts {
+					cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
+						BlockedSampler: kernel.blocked, DistTable: dist, FusedDraw: draw}
+					r := newResult(fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/batch=%s/layout=%s/workers=%d",
+						kernel.name, dist, psiCell, draw, batchCell, layoutCell, workers),
+						kernel.name, dist, draw)
+					r.Workers = workers
+					r.measure(c, cfg, *sweeps, *count, rels)
+					rep.Results = append(rep.Results, r)
 				}
 			}
-		}
-	}
-
-	// Batch/layout ablation: the matrix above runs the round-4 levers at
-	// their defaults (batch=author, layout=flat), so these cells turn
-	// each lever off at the fast-path corner — the win each one buys
-	// stays visible run over run instead of only in the PR that landed
-	// it.
-	for _, bl := range []struct {
-		batch  core.TweetBatchMode
-		layout core.LayoutMode
-	}{
-		{core.TweetBatchOff, core.LayoutOff},
-		{core.TweetBatchOn, core.LayoutOff},
-		{core.TweetBatchOff, core.LayoutOn},
-	} {
-		for _, workers := range workerCounts {
-			cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-				DistTable: core.DistTableOn, PsiStore: core.PsiStoreOn, FusedDraw: core.FusedDrawOn,
-				TweetBatch: bl.batch, Layout: bl.layout}
-			initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-			r := Result{
-				Name: fmt.Sprintf("kernel=pervar/dist=table/psi=venue/draw=fused/batch=%s/layout=%s/workers=%d",
-					bl.batch, bl.layout, workers),
-				Kernel:       "pervar",
-				Dist:         core.DistTableOn.String(),
-				Psi:          core.PsiStoreOn.String(),
-				Draw:         core.FusedDrawOn.String(),
-				Batch:        bl.batch.String(),
-				Layout:       bl.layout.String(),
-				Workers:      workers,
-				InitSeconds:  initS,
-				SweepSeconds: perSweep,
-				RelsPerSec:   float64(rels) / perSweep,
-				PhaseSeconds: phases,
-			}
-			rep.Results = append(rep.Results, r)
-			logCell(&r)
 		}
 	}
 
@@ -239,30 +196,17 @@ func main() {
 		stale  bool
 	}{{2, false}, {4, false}, {4, true}} {
 		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: sc.shards, StaleBoundary: sc.stale,
-			DistTable: core.DistTableOn, PsiStore: core.PsiStoreOn, FusedDraw: core.FusedDrawOn}
-		initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-		name := fmt.Sprintf("kernel=pervar/dist=table/psi=venue/draw=fused/batch=%s/layout=%s/shards=%d",
-			cfg.TweetBatch, cfg.Layout, sc.shards)
+			DistTable: core.DistTableOn, FusedDraw: core.FusedDrawOn}
+		name := fmt.Sprintf("kernel=pervar/dist=table/psi=%s/draw=fused/batch=%s/layout=%s/shards=%d",
+			psiCell, batchCell, layoutCell, sc.shards)
 		if sc.stale {
 			name += "/stale"
 		}
-		r := Result{
-			Name:         name,
-			Kernel:       "pervar",
-			Dist:         core.DistTableOn.String(),
-			Psi:          core.PsiStoreOn.String(),
-			Draw:         core.FusedDrawOn.String(),
-			Batch:        cfg.TweetBatch.String(),
-			Layout:       cfg.Layout.String(),
-			Shards:       sc.shards,
-			Stale:        sc.stale,
-			InitSeconds:  initS,
-			SweepSeconds: perSweep,
-			RelsPerSec:   float64(rels) / perSweep,
-			PhaseSeconds: phases,
-		}
+		r := newResult(name, "pervar", core.DistTableOn, core.FusedDrawOn)
+		r.Shards = sc.shards
+		r.Stale = sc.stale
+		r.measure(c, cfg, *sweeps, *count, rels)
 		rep.Results = append(rep.Results, r)
-		logCell(&r)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -305,6 +249,19 @@ func fatal(v ...any) {
 		pprof.StopCPUProfile()
 	}
 	log.Fatal(v...)
+}
+
+// newResult starts a cell's result with its name and mode fields.
+func newResult(name, kernel string, dist core.DistTableMode, draw core.FusedDrawMode) Result {
+	return Result{Name: name, Kernel: kernel, Dist: dist.String(), Psi: psiCell,
+		Draw: draw.String(), Batch: batchCell, Layout: layoutCell}
+}
+
+// measure times cfg into the result (see measureCell) and logs the cell.
+func (r *Result) measure(c *dataset.Corpus, cfg core.Config, sweeps, count, rels int) {
+	r.InitSeconds, r.SweepSeconds, r.PhaseSeconds = measureCell(c, cfg, sweeps, count)
+	r.RelsPerSec = float64(rels) / r.SweepSeconds
+	logCell(r)
 }
 
 // measureCell times one config as two fits — one initialization-only and
@@ -422,10 +379,9 @@ func compareReports(path string, fresh *Report) {
 		}
 		if !ok {
 			// A report from before the batch/layout axis carries this
-			// cell under its shorter pre-axis name (only default-corner
-			// cells embed batch=author/layout=flat, so ablation cells
-			// never false-match). That run had no batching or interleaved
-			// layout; the fresh default cell continues its trajectory.
+			// cell under its shorter pre-axis name. That run had no
+			// batching or interleaved layout; the fresh cell continues
+			// its trajectory.
 			legacy := strings.Replace(r.Name, "/batch=author/layout=flat", "", 1)
 			if legacy != r.Name {
 				if o, ok = oldByName[legacy]; ok {

@@ -13,108 +13,60 @@ import (
 // Tests for the hot-path round-4 levers (DESIGN.md §14): the per-author
 // tweet-draw batching layer, the interleaved candidate/prior/ϕ layout,
 // and the sparse per-city pow rows above the dense pair-matrix ceiling.
-// Batching and layout claim bit-identity — every golden cell must hold
-// with them on or off, in every sweep mode. The sparse rows claim exact
-// equality with the per-lookup quantization fallback (same exp of the
-// same quantized operand) and the usual ≥99% coupling to the exact path.
+// Each replaced an off path it was bit-identical to; the fingerprints
+// pinned here are the values both settings produced before the off
+// paths were retired. The sparse rows also keep the usual ≥99% coupling
+// to the exact path.
 
-// goldenBatchLayoutModes is the TweetBatch × Layout axis of the golden
-// matrix. The default (batch=author, layout=flat) corner is what every
-// pre-existing golden cell now runs — their pinned pre-batching
-// fingerprints already lock it — so the axis pins the off-variants:
-// each must reproduce the identical fingerprint, or a lever leaked into
-// the arithmetic or the RNG stream.
-var goldenBatchLayoutModes = []struct {
-	batch  TweetBatchMode
-	layout LayoutMode
-}{
-	{TweetBatchOff, LayoutOff},
-	{TweetBatchOn, LayoutOff},
-	{TweetBatchOff, LayoutOn},
-}
-
-func TestBatchLayoutGoldenMatrix(t *testing.T) {
-	d, err := synth.Generate(*goldenWorld(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []struct {
-		workers     int
-		fingerprint uint64
-	}{{1, goldenFingerprint}, {4, 0x41becc5c7b68d6e1}} {
-		for _, bl := range goldenBatchLayoutModes {
-			name := fmt.Sprintf("workers=%d/batch=%s/layout=%s", g.workers, bl.batch, bl.layout)
-			t.Run(name, func(t *testing.T) {
-				cfg := goldenCfg()
-				cfg.Workers = g.workers
-				cfg.DistTable = DistTableOn
-				cfg.TweetBatch = bl.batch
-				cfg.Layout = bl.layout
-				m, err := Fit(&d.Corpus, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := fitFingerprint(m)
-				t.Logf("fingerprint: %#x", got)
-				if got != g.fingerprint {
-					t.Errorf("%s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
-				}
-			})
-		}
-	}
-}
-
-// TestBatchLayoutShardedIdentity repeats the bit-identity claim under
-// the sharded sweep, both boundary protocols: the default levers-on fit
-// must fingerprint-match a levers-off fit exactly (the overlay reads,
-// barrier folds, and stale-op interplay must survive batching).
+// TestBatchLayoutShardedIdentity pins the batched, interleaved sharded
+// fit, both boundary protocols, with the distance table on: the overlay
+// reads, barrier folds, and stale-op interplay must survive batching.
+// The pins are the goldenSharded values, which the unbatched, per-user
+// allocated fits also produced.
 func TestBatchLayoutShardedIdentity(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stale := range []bool{false, true} {
-		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) {
+	for _, g := range goldenSharded {
+		t.Run(fmt.Sprintf("stale=%v", g.stale), func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.Shards = 4
 			cfg.DistTable = DistTableOn
-			cfg.StaleBoundary = stale
-			on, err := Fit(&d.Corpus, cfg)
+			cfg.StaleBoundary = g.stale
+			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.TweetBatch = TweetBatchOff
-			cfg.Layout = LayoutOff
-			off, err := Fit(&d.Corpus, cfg)
-			if err != nil {
-				t.Fatal(err)
+			got := fitFingerprint(m)
+			t.Logf("fingerprint: %#x", got)
+			if got != g.fingerprint {
+				t.Errorf("sharded stale=%v: fingerprint %#x differs from golden %#x", g.stale, got, g.fingerprint)
 			}
-			fOn, fOff := fitFingerprint(on), fitFingerprint(off)
-			t.Logf("fingerprints on=%#x off=%#x", fOn, fOff)
-			if fOn != fOff {
-				t.Errorf("sharded stale=%v: batched fingerprint %#x != unbatched %#x", stale, fOn, fOff)
-			}
-			if st := on.TweetBatchStats(); st.Built == 0 || st.Hits == 0 {
+			if st := m.TweetBatchStats(); st.Built == 0 || st.Hits == 0 {
 				t.Errorf("sharded batch layer inactive: stats %+v", st)
 			}
 		})
 	}
 }
 
+// tweetBatchBoundaryFingerprint is the long-run world's fit below,
+// captured with batching on and off (both gave this value).
+const tweetBatchBoundaryFingerprint = uint64(0x12aab703d18c20d5)
+
 // TestTweetBatchBoundaryInvalidation drives the batching layer's repair
 // edge hard: few authors with very long tweet runs, so gathered entries
 // live across many draws and the authors' own moves (z moves and ν
-// flips) must repair gathered counts mid-run. The batched fit must stay
-// bit-identical to the unbatched one, and the stats must prove the edge
-// actually fired (reuse without repairs would mean the world was too
-// tame to test invalidation).
+// flips) must repair gathered counts mid-run. The fit must reproduce the
+// pinned fingerprint, and the stats must prove the edge actually fired
+// (reuse without repairs would mean the world was too tame to test
+// invalidation).
 func TestTweetBatchBoundaryInvalidation(t *testing.T) {
 	d, err := synth.Generate(synth.Config{Seed: 107, NumUsers: 30, NumLocations: 80, MeanFriends: 4, MeanTweets: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 7, Iterations: 6, Workers: 1, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}
-	cfg.TweetBatch = TweetBatchOn
 	batched, err := Fit(&d.Corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +74,7 @@ func TestTweetBatchBoundaryInvalidation(t *testing.T) {
 	st := batched.TweetBatchStats()
 	t.Logf("batch stats: %+v", st)
 	if !batched.TweetBatchActive() {
-		t.Fatal("batch layer did not activate under TweetBatchOn defaults")
+		t.Fatal("batch layer did not activate under the default fused pipeline")
 	}
 	if st.Hits == 0 {
 		t.Error("no batch entry reuse on a long-run tweet world — batching is inert")
@@ -130,15 +82,10 @@ func TestTweetBatchBoundaryInvalidation(t *testing.T) {
 	if st.Repairs == 0 {
 		t.Error("no in-place repairs — the invalidation edge was never exercised")
 	}
-	cfg.TweetBatch = TweetBatchOff
-	plain, err := Fit(&d.Corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fB, fP := fitFingerprint(batched), fitFingerprint(plain)
-	t.Logf("fingerprints batched=%#x plain=%#x", fB, fP)
-	if fB != fP {
-		t.Errorf("batched fingerprint %#x != unbatched %#x — a repair missed a gathered count", fB, fP)
+	got := fitFingerprint(batched)
+	t.Logf("fingerprint: %#x", got)
+	if got != tweetBatchBoundaryFingerprint {
+		t.Errorf("batched fingerprint %#x != pinned %#x — a repair missed a gathered count", got, tweetBatchBoundaryFingerprint)
 	}
 }
 
@@ -150,81 +97,65 @@ func sparseWorld(seed int64, users int) synth.Config {
 }
 
 // TestSparseBinsPowRowMatchesFallback is the unit-level identity: a
-// sparse pow row serves exactly the values per-lookup quantization
-// computes — same quantized log, same exp — across α-epochs. Row-walking
-// kernels and single lookups therefore cannot diverge however they mix.
+// sparse pow row serves exactly the values a single per-lookup
+// quantization computes — same quantized log, same exp — across
+// α-epochs. Row-walking kernels and single lookups therefore cannot
+// diverge however they mix.
 func TestSparseBinsPowRowMatchesFallback(t *testing.T) {
 	d, err := synth.Generate(sparseWorld(61, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := d.Corpus.Gaz
-	dc := newDistCalc(g)
-	rows := distTableFor(dc, g, true)
-	lookup := distTableFor(dc, g, false)
+	dt := distTableFor(newDistCalc(g), g)
 	probes := []gazetteer.CityID{0, 3, 511, gazetteer.CityID(g.Len() - 1)}
 	for _, alpha := range []float64{-0.55, -0.8} {
-		rows.setAlpha(alpha)
-		lookup.setAlpha(alpha)
-		if active, dense := (&Model{dt: rows}).DistTableStatus(); !active || dense {
+		dt.setAlpha(alpha)
+		if active, dense := (&Model{dt: dt}).DistTableStatus(); !active || dense {
 			t.Fatalf("alpha=%v: status active=%v dense=%v, want active without dense", alpha, active, dense)
 		}
 		for _, a := range probes {
-			prow := rows.powRow(a)
+			prow := dt.powRow(a)
 			if prow == nil {
 				t.Fatalf("alpha=%v: sparse table returned no pow row for city %d", alpha, a)
 			}
 			for _, b := range probes {
-				if want := lookup.pow(a, b); prow[b] != want {
-					t.Errorf("alpha=%v: powRow(%d)[%d] = %v, per-lookup fallback = %v", alpha, a, b, prow[b], want)
+				if want := dt.pow(a, b); prow[b] != want {
+					t.Errorf("alpha=%v: powRow(%d)[%d] = %v, per-lookup pow = %v", alpha, a, b, prow[b], want)
 				}
 			}
 		}
 	}
-	if lookup.powRow(probes[0]) != nil {
-		t.Error("per-lookup table served a sparse pow row")
-	}
 }
 
+// sparseBinsFingerprint is the fit below, captured with sparse bin rows
+// and with the retired per-lookup fallback (both gave this value).
+const sparseBinsFingerprint = uint64(0x1636163e41d03858)
+
 // TestSparseBinsFingerprintEquivalence pins the fit-level identity at
-// L > MaxDensePairCities: sparse bin rows versus the per-lookup
-// quantization fallback are the same chain bit for bit (both serve
-// exp(α·quantLog) for every pair), under the parallel sweep where rows
-// are built and read concurrently. Also locks the reported status: the
-// table must be active without the dense matrix in both modes.
+// L > MaxDensePairCities under the parallel sweep, where rows are built
+// and read concurrently. Also locks the reported status: the table must
+// be active on sparse rows without the dense matrix.
 func TestSparseBinsFingerprintEquivalence(t *testing.T) {
 	d, err := synth.Generate(sparseWorld(105, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 7, Iterations: 4, Workers: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}
-	cfg.SparseBins = SparseBinsOn
-	rows, err := Fit(&d.Corpus, cfg)
+	m, err := Fit(&d.Corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SparseBins = SparseBinsOff
-	lookup, err := Fit(&d.Corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if active, dense := m.DistTableStatus(); !active || dense {
+		t.Errorf("DistTableStatus active=%v dense=%v, want active without dense above the ceiling", active, dense)
 	}
-	for _, m := range []struct {
-		name   string
-		m      *Model
-		sparse bool
-	}{{"rows", rows, true}, {"lookup", lookup, false}} {
-		active, dense := m.m.DistTableStatus()
-		if !active || dense {
-			t.Errorf("%s: DistTableStatus active=%v dense=%v, want active without dense above the ceiling", m.name, active, dense)
-		}
-		if got := m.m.DistTableSparseBins(); got != m.sparse {
-			t.Errorf("%s: DistTableSparseBins() = %v, want %v", m.name, got, m.sparse)
-		}
+	if !m.DistTableSparseBins() {
+		t.Error("fit above the ceiling did not engage the sparse bin rows")
 	}
-	fR, fL := fitFingerprint(rows), fitFingerprint(lookup)
-	t.Logf("fingerprints rows=%#x lookup=%#x", fR, fL)
-	if fR != fL {
-		t.Errorf("sparse bin-row fingerprint %#x != per-lookup fallback %#x — the representations diverged", fR, fL)
+	got := fitFingerprint(m)
+	t.Logf("fingerprint: %#x", got)
+	if got != sparseBinsFingerprint {
+		t.Errorf("sparse bin-row fingerprint %#x != pinned %#x", got, sparseBinsFingerprint)
 	}
 }
 

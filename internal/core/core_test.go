@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlprofile/internal/dataset"
+	"mlprofile/internal/gazetteer"
 	"mlprofile/internal/synth"
 )
 
@@ -35,8 +36,24 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
+// venueCountsByCity materializes the collapsed venue counts in city-major
+// map form — the invariant tests consume this, not the store internals.
+func (m *Model) venueCountsByCity() []map[gazetteer.VenueID]float64 {
+	out := make([]map[gazetteer.VenueID]float64, len(m.venueSum))
+	for v := range m.ps.rows {
+		r := &m.ps.rows[v]
+		for i, l := range r.cities {
+			if out[l] == nil {
+				out[l] = make(map[gazetteer.VenueID]float64, 8)
+			}
+			out[l][gazetteer.VenueID(v)] += r.vals[i]
+		}
+	}
+	return out
+}
+
 // checkVenueInvariants asserts the collapsed venue-count invariants on a
-// fitted model, independent of the active PsiStore layout: every count
+// fitted model: every count
 // positive, per-city counts summing to venueSum[l], and the grand total
 // equal to the number of location-based (ν=0) tweets.
 func checkVenueInvariants(t *testing.T, m *Model) {
@@ -163,30 +180,31 @@ func TestCountInvariants(t *testing.T) {
 		}
 	}
 
-	// Venue counts: per-city sums and the ν=0 total, under the fitted
-	// store layout (the default venue-major store here; the map layout is
-	// covered by TestCountInvariantsBothStores).
+	// Venue counts: per-city sums and the ν=0 total.
 	checkVenueInvariants(t, m)
 }
 
-// TestCountInvariantsBothStores runs the venue bookkeeping invariants
-// explicitly under each PsiStore layout, sequential and parallel — the
-// post-sweep check that venueSum[l] equals the sum of row counts no
-// matter which structure accumulated them.
+// TestCountInvariantsBothStores runs the venue bookkeeping invariants on
+// the venue-major store, sequential and parallel — the post-sweep check
+// that venueSum[l] equals the sum of row counts — and pins each fit to
+// the fingerprint the venue-major and the retired city-major map stores
+// both produced.
 func TestCountInvariantsBothStores(t *testing.T) {
 	d := testWorld(t, 2)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name        string
+		cfg         Config
+		fingerprint uint64
 	}{
-		{"venue/workers=1", Config{Seed: 5, Iterations: 6, PsiStore: PsiStoreOn}},
-		{"map/workers=1", Config{Seed: 5, Iterations: 6, PsiStore: PsiStoreOff}},
-		{"venue/workers=4", Config{Seed: 5, Iterations: 6, Workers: 4, PsiStore: PsiStoreOn}},
-		{"map/workers=4", Config{Seed: 5, Iterations: 6, Workers: 4, PsiStore: PsiStoreOff}},
+		{"venue/workers=1", Config{Seed: 5, Iterations: 6, Workers: 1}, 0x33e284cdd592e2a7},
+		{"venue/workers=4", Config{Seed: 5, Iterations: 6, Workers: 4}, 0x5a74618b3337b893},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, _ := fitFold(t, d, tc.cfg)
 			checkVenueInvariants(t, m)
+			if got := fitFingerprint(m); got != tc.fingerprint {
+				t.Errorf("fingerprint %#x differs from pinned %#x", got, tc.fingerprint)
+			}
 		})
 	}
 }

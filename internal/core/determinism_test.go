@@ -108,20 +108,10 @@ var goldenMatrix = []struct {
 	{"workers=4/table", 4, DistTableOn, 0x41becc5c7b68d6e1},
 }
 
-// goldenPsiModes is the PsiStore axis of the golden matrix. Unlike the
-// distance table — equal here only because no draw happens to flip —
-// the venue-major store owes exact equality *structurally*: counts are
-// gathered, never approximated, and the ψ̂ smoothing is shared, so both
-// layouts must reproduce the identical fingerprint in every mode. A
-// psi=venue divergence with an intact psi=map fingerprint means the
-// store (or its parallel overlay/fold) corrupted a count.
-var goldenPsiModes = []struct {
-	name string
-	psi  PsiStoreMode
-}{
-	{"psi=map", PsiStoreOff},
-	{"psi=venue", PsiStoreOn},
-}
+// goldenPsiCell is the cell-name segment of the retired PsiStore axis.
+// The venue-major store is the only count layout now; the segment stays
+// in the cell names so they match those of earlier runs.
+const goldenPsiCell = "psi=venue"
 
 // goldenDrawModes is the FusedDraw axis. draw=scan is the reference
 // three-pass fill + Categorical path, which must keep reproducing the
@@ -148,25 +138,23 @@ func TestGoldenFingerprintMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.Workers = g.workers
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fitFingerprint(m)
-					t.Logf("fingerprint: %#x", got)
-					if got != g.fingerprint {
-						t.Errorf("%s/%s/%s fingerprint %#x differs from golden %#x", g.name, p.name, f.name, got, g.fingerprint)
-					}
-				})
-			}
+		for _, f := range goldenDrawModes {
+			name := g.name + "/" + goldenPsiCell + "/" + f.name
+			t.Run(name, func(t *testing.T) {
+				cfg := goldenCfg()
+				cfg.Workers = g.workers
+				cfg.DistTable = g.dist
+				cfg.FusedDraw = f.draw
+				m, err := Fit(&d.Corpus, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fitFingerprint(m)
+				t.Logf("fingerprint: %#x", got)
+				if got != g.fingerprint {
+					t.Errorf("%s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
+				}
+			})
 		}
 	}
 }
@@ -193,25 +181,23 @@ func TestGoldenMatrixBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range goldenBlocked {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.BlockedSampler = true
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fitFingerprint(m)
-					t.Logf("fingerprint: %#x", got)
-					if got != g.fingerprint {
-						t.Errorf("%s/%s/%s fingerprint %#x differs from golden %#x", g.name, p.name, f.name, got, g.fingerprint)
-					}
-				})
-			}
+		for _, f := range goldenDrawModes {
+			name := g.name + "/" + goldenPsiCell + "/" + f.name
+			t.Run(name, func(t *testing.T) {
+				cfg := goldenCfg()
+				cfg.BlockedSampler = true
+				cfg.DistTable = g.dist
+				cfg.FusedDraw = f.draw
+				m, err := Fit(&d.Corpus, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fitFingerprint(m)
+				t.Logf("fingerprint: %#x", got)
+				if got != g.fingerprint {
+					t.Errorf("%s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
+				}
+			})
 		}
 	}
 }

@@ -25,9 +25,8 @@ import (
 //   is precomputed once per fit and the hot path reduces to two array
 //   loads. Larger gazetteers serve row-walking kernels from sparse
 //   per-city pow rows built lazily for the cities live candidate sets
-//   actually pair (Config.SparseBins, see below and DESIGN.md §14);
-//   with SparseBins off they fall back to quantizing per lookup, which
-//   keeps the semantics (and the per-edge caches) without any matrix.
+//   actually pair (see below and DESIGN.md §14), and single lookups by
+//   quantizing per lookup; both yield the same values.
 //
 // Everything the table serves is draw-for-draw aligned with the exact
 // path: the kernels consume the RNG in the same order with the same
@@ -64,8 +63,7 @@ const (
 	// maxDensePairCities caps the dense L×L pair-bin matrix: 2048 cities
 	// hold 2048²×4B = 16 MiB and cost ~2M haversines (a few hundred ms,
 	// paid once per fit) to fill. Beyond that, row-walking kernels are
-	// served from sparse per-city pow rows (SparseBinsOn, the default) or
-	// per-lookup quantization (SparseBinsOff).
+	// served from sparse per-city pow rows.
 	maxDensePairCities = 2048
 
 	// sparsePowBudgetBytes bounds the sparse pow-row cache per distTable
@@ -77,18 +75,16 @@ const (
 )
 
 // MaxDensePairCities is the gazetteer-size ceiling of the dense pair-bin
-// matrix, exported so callers (mlptrain's fallback log, the sharded
+// matrix, exported so callers (mlptrain's sparse-rows log, the sharded
 // pipeline) can report when a fit crosses it.
 const MaxDensePairCities = maxDensePairCities
 
 // DistTableStatus reports the distance-amortization state of a fitted
 // model: whether the quantized table is active at all, and whether it is
 // backed by the dense pair-bin matrix. Above MaxDensePairCities the
-// table stays active without the dense matrix — on sparse per-city pow
-// rows (the default; DistTableSparseBins reports true) or on per-lookup
-// quantization (SparseBinsOff). Callers scaling corpora up should
-// surface which of the two engaged rather than let the slower path run
-// silently.
+// table stays active without the dense matrix, on sparse per-city pow
+// rows (DistTableSparseBins). Callers scaling corpora up should surface
+// that rather than let the lazily built rows run silently.
 func (m *Model) DistTableStatus() (active, dense bool) {
 	if m.dt == nil {
 		return false, false
@@ -97,8 +93,8 @@ func (m *Model) DistTableStatus() (active, dense bool) {
 }
 
 // DistTableSparseBins reports whether the table serves row-walking
-// kernels from the sparse per-city pow rows — the above-the-ceiling mode
-// of Config.SparseBins.
+// kernels from the sparse per-city pow rows — the above-the-ceiling
+// mode.
 func (m *Model) DistTableSparseBins() bool {
 	return m.dt != nil && m.dt.sparse
 }
@@ -251,10 +247,10 @@ type distTable struct {
 	// compare against it to invalidate their static values.
 	epoch uint32
 
-	// Sparse mode (L > maxDensePairCities, Config.SparseBins on):
+	// Sparse mode (L > maxDensePairCities):
 	// spRows[a].pow[b] = exp(alpha·quantLog(logMiles(a, b))) for the
 	// row's stamped α-epoch — bit-identical to both the dense powTab
-	// load and the per-lookup fallback, so every representation yields
+	// load and the single-lookup pow, so every representation yields
 	// the same draws. Bounded FIFO; rows from a stale α-epoch rebuild
 	// in place on their next walk. Guarded by spMu for the concurrent
 	// sweep workers (setAlpha itself only runs between sweeps).
@@ -317,9 +313,10 @@ func (t *distTable) powRow(a gazetteer.CityID) []float64 {
 	return pow
 }
 
-// newDistTable builds the pair-bin level for the gazetteer behind dc,
-// bypassing the cache (unit tests use it on throwaway gazetteers).
-// powTab is not valid until the first setAlpha call.
+// newDistTable builds the dense pair-bin level for the gazetteer behind
+// dc, bypassing the cache (unit tests use it on throwaway gazetteers at
+// or below the dense ceiling). powTab is not valid until the first
+// setAlpha call.
 func newDistTable(dc *distCalc, L int) *distTable {
 	t := &distTable{dc: dc, L: L}
 	if L <= maxDensePairCities {
@@ -329,15 +326,13 @@ func newDistTable(dc *distCalc, L int) *distTable {
 	return t
 }
 
-// distTableFor is the fit-time constructor: identical semantics to
-// newDistTable, with the pair-bin level served from pairBinCache.
-// sparse selects the above-the-ceiling mode: per-city pow rows (true)
-// or per-lookup quantization (false); it is a no-op at or below the
-// dense ceiling, where the matrix always wins.
-func distTableFor(dc *distCalc, g *gazetteer.Gazetteer, sparse bool) *distTable {
+// distTableFor is the fit-time constructor, with the pair-bin level
+// served from pairBinCache. Above the dense ceiling it switches to the
+// sparse per-city pow rows.
+func distTableFor(dc *distCalc, g *gazetteer.Gazetteer) *distTable {
 	L := g.Len()
 	t := &distTable{dc: dc, L: L, pb: pairBinsFor(dc, g, L)}
-	if L > maxDensePairCities && sparse {
+	if L > maxDensePairCities {
 		t.sparse = true
 		//mlp:allow lockcheck construction: t has not escaped to any worker yet
 		t.spRows = make(map[int32]*sparsePowRow)
@@ -355,7 +350,7 @@ func binOfLog(lm float64) int64 {
 }
 
 // quantLog is the quantized log-distance itself (the representative of
-// lm's bin) — what the fallback path feeds exp directly.
+// lm's bin) — what single lookups above the ceiling feed exp directly.
 func quantLog(lm float64) float64 {
 	return float64(binOfLog(lm)) * logBinWidth
 }
@@ -452,13 +447,10 @@ func (m *Model) edgeCacheFor(s int, candI, candJ []gazetteer.CityID, gammaJ []fl
 			for j, cj := range candJ {
 				sum += gammaJ[j] * pt[row[cj]]
 			}
-		} else if prow := m.dt.powRow(ci); prow != nil {
+		} else {
+			prow := m.dt.powRow(ci)
 			for j, cj := range candJ {
 				sum += gammaJ[j] * prow[cj]
-			}
-		} else {
-			for j, cj := range candJ {
-				sum += gammaJ[j] * m.dt.pow(ci, cj)
 			}
 		}
 		ec.gRow[i] = sum
@@ -492,10 +484,8 @@ func (m *Model) drawStaticPair(ctx *sweepCtx, s int) (i, j int, ok bool) {
 				var p float64
 				if row != nil {
 					p = m.dt.powTab[row[cj]]
-				} else if prow != nil {
-					p = prow[cj]
 				} else {
-					p = m.dt.pow(ci, cj)
+					p = prow[cj]
 				}
 				w[i*nJ+j] = gI[i] * gJ[j] * p
 			}

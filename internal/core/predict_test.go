@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -111,26 +113,28 @@ func TestProfileReadoutPure(t *testing.T) {
 	}
 }
 
-// TestVenueProbabilityReadout: ψ̂ readouts agree bit-for-bit across the
-// two PsiStore layouts, normalize over the venue vocabulary, and degrade
-// to zero off-range and for variants without tweeting observations.
+// venueReadoutFingerprint is the FNV-1a hash of the ψ̂ readouts below,
+// captured from the venue-major and the retired city-major map stores
+// (both gave this value).
+const venueReadoutFingerprint = uint64(0x4238dad6b942e3eb)
+
+// TestVenueProbabilityReadout: ψ̂ readouts reproduce the pinned
+// fingerprint bit-for-bit, normalize over the venue vocabulary, and
+// degrade to zero off-range and for variants without tweeting
+// observations.
 func TestVenueProbabilityReadout(t *testing.T) {
 	d := testWorld(t, 2)
-	cfg := Config{Seed: 5, Iterations: 4}
-	cfg.PsiStore = PsiStoreOn
-	mv, _ := fitFold(t, d, cfg)
-	cfg.PsiStore = PsiStoreOff
-	mm, _ := fitFold(t, d, cfg)
+	mv, _ := fitFold(t, d, Config{Seed: 5, Iterations: 4, Workers: 1})
 
+	h := fnv.New64a()
+	var b [8]byte
 	L := d.Corpus.Gaz.Len()
 	for l := 0; l < L; l += 7 {
 		var sum float64
 		for v := 0; v < d.Corpus.Venues.Len(); v++ {
 			pv := mv.VenueProbability(gazetteer.CityID(l), gazetteer.VenueID(v))
-			pm := mm.VenueProbability(gazetteer.CityID(l), gazetteer.VenueID(v))
-			if pv != pm {
-				t.Fatalf("ψ̂(%d, %d): venue store %v != map store %v", l, v, pv, pm)
-			}
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(pv))
+			h.Write(b[:])
 			if pv <= 0 {
 				t.Fatalf("ψ̂(%d, %d) = %v, want > 0 (Dirichlet smoothing)", l, v, pv)
 			}
@@ -139,6 +143,9 @@ func TestVenueProbabilityReadout(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("ψ̂(%d, ·) sums to %v", l, sum)
 		}
+	}
+	if got := h.Sum64(); got != venueReadoutFingerprint {
+		t.Errorf("ψ̂ readout fingerprint %#x differs from pinned %#x", got, venueReadoutFingerprint)
 	}
 	if mv.VenueProbability(-1, 0) != 0 || mv.VenueProbability(0, gazetteer.VenueID(d.Corpus.Venues.Len())) != 0 {
 		t.Error("out-of-range ψ̂ readout should be zero")

@@ -4,21 +4,17 @@ import (
 	"mlprofile/internal/gazetteer"
 )
 
-// This file implements the venue-major collapsed count store behind
-// Config.PsiStore (see DESIGN.md §8). The tweet kernel's ψ̂ factor probes
-// the count φ_{l,v} once per candidate per tweet (Eqs. 6/9); with the
-// city-major map layout (model.go) every probe is a hash plus a pointer
-// chase into a different map, and the parallel overlay doubles it. The
-// venue-major layout inverts the nesting: all counts of one venue — the
-// quantity a single tweet update actually needs across its ≤MaxCandidates
-// candidate cities — sit together in one compact row, so a per-tweet
-// gather (sweepCtx.gatherPsi) resolves every candidate's count in one
-// pass over the row and the per-candidate cost drops to one array load.
-// Counts are gathered, never approximated, and the ψ̂ smoothing
-// (Model.psiFrom) is shared with the map path, so a PsiStoreOn chain is
-// bit-identical to the PsiStoreOff reference — the golden fingerprint
-// matrix asserts equality across every Workers × kernel × DistTable ×
-// FusedDraw mode.
+// This file implements the venue-major collapsed count store (see
+// DESIGN.md §8). The tweet kernel's ψ̂ factor needs the count φ_{l,v}
+// once per candidate per tweet (Eqs. 6/9); with a city-major map layout
+// every probe is a hash plus a pointer chase into a different map, and
+// the parallel overlay doubles it. The venue-major layout inverts the
+// nesting: all counts of one venue — the quantity a single tweet update
+// actually needs across its ≤MaxCandidates candidate cities — sit
+// together in one compact row, so a per-tweet gather
+// (sweepCtx.gatherPsi) resolves every candidate's count in one pass over
+// the row and the per-candidate cost drops to one array load. Counts
+// are gathered, never approximated.
 //
 // Row layout (reworked for the fused draw pipeline, DESIGN.md §9): the
 // live (city, count) pairs sit densely in two compact parallel arrays,
@@ -231,9 +227,8 @@ func newPsiStore(numVenues int) *psiStore {
 }
 
 // add accumulates d onto φ_{l,v} and deletes the entry when the count
-// reaches zero, mirroring the map path's delete-at-zero (counts are
-// integer-valued, so exact zero is reachable and "present ⇒ positive"
-// keeps rows minimal).
+// reaches zero (counts are integer-valued, so exact zero is reachable
+// and "present ⇒ positive" keeps rows minimal).
 func (ps *psiStore) add(v gazetteer.VenueID, l gazetteer.CityID, d float64) {
 	r := &ps.rows[v]
 	slot, ci := r.findOrInsert(int32(l))
@@ -289,9 +284,9 @@ type psiGatherCell struct {
 // gatherPsi stamps venue v's counts — the base store row plus, on a
 // parallel worker, the overlay row's pending deltas — into the ctx's
 // epoch-stamped scratch. One pass over the row's compact live pairs
-// replaces the per-candidate probes of the map path: after the gather,
-// gatheredPsi(l) is an array read per candidate. The epoch stamp makes
-// clearing free; stamps are uint64, so wraparound is unreachable.
+// replaces per-candidate probes: after the gather, gatheredPsi(l) is an
+// array read per candidate. The epoch stamp makes clearing free; stamps
+// are uint64, so wraparound is unreachable.
 func (c *sweepCtx) gatherPsi(v gazetteer.VenueID) {
 	m := c.m
 	if len(c.gcells) != len(m.venueSum) {
@@ -335,7 +330,7 @@ func (c *sweepCtx) gatheredPsi(l gazetteer.CityID) float64 {
 // gatheredPsiExcl is gatheredPsi with one observation at city ex
 // excluded — the "−1" form of Eqs. 6/9. Only city ex's count and sum are
 // affected, and the counts are integer-valued floats, so subtracting
-// here is bit-identical to the reference kernel's remove-then-read.
+// here is bit-identical to removing the observation and reading back.
 func (c *sweepCtx) gatheredPsiExcl(l, ex gazetteer.CityID) float64 {
 	m := c.m
 	var cnt float64
@@ -354,8 +349,7 @@ func (c *sweepCtx) gatheredPsiExcl(l, ex gazetteer.CityID) float64 {
 }
 
 // psiExcl is the probe-path analogue of gatheredPsiExcl: ψ̂_l(v) with one
-// observation at city ex excluded, resolved by direct row probes (store
-// path only).
+// observation at city ex excluded, resolved by direct row probes.
 func (c *sweepCtx) psiExcl(l gazetteer.CityID, v gazetteer.VenueID, ex gazetteer.CityID) float64 {
 	m := c.m
 	cnt := m.ps.get(v, l)

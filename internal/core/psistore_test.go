@@ -1,16 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"mlprofile/internal/gazetteer"
 )
 
-// TestPsiRowDeleteAtZero: the base store's delete-at-zero, the boundary
-// the map path expresses with delete(map, v) — removing the last count
-// must remove the entry (present ⇒ positive) and keep probes correct.
+// TestPsiRowDeleteAtZero: the base store's delete-at-zero — removing the
+// last count must remove the entry (present ⇒ positive) and keep probes
+// correct.
 func TestPsiRowDeleteAtZero(t *testing.T) {
 	ps := newPsiStore(3)
 	v := gazetteer.VenueID(1)
@@ -79,7 +78,7 @@ func TestPsiRowStressVsMap(t *testing.T) {
 // enough machinery to exercise the overlay and fold without a full Fit.
 func psiFixture(numVenues, L int) (*Model, *sweepCtx) {
 	m := &Model{
-		cfg:        Config{Delta: 0.01, PsiStore: PsiStoreOn},
+		cfg:        Config{Delta: 0.01},
 		numVenues:  numVenues,
 		deltaTotal: 0.01 * float64(numVenues),
 		venueSum:   make([]float64, L),
@@ -158,7 +157,7 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 // TestGatherMatchesPsi: the per-tweet gather must resolve, for every
 // candidate city, exactly the value the per-candidate psi probe returns
 // — bit for bit, with and without pending overlay deltas. This is the
-// identity the store-on tweet kernel substitutes into Eq. 9.
+// identity the tweet kernels substitute into Eq. 9.
 func TestGatherMatchesPsi(t *testing.T) {
 	const V, L = 40, 50
 	m, ctx := psiFixture(V, L)
@@ -201,16 +200,11 @@ func TestGatherMatchesPsi(t *testing.T) {
 
 // benchPsiWorld populates a model skeleton with a realistic count shape:
 // every venue concentrated on a handful of cities, as sampling produces.
-func benchPsiWorld(b *testing.B, psi PsiStoreMode) (*Model, []gazetteer.CityID) {
+func benchPsiWorld(b *testing.B) (*Model, []gazetteer.CityID) {
 	b.Helper()
 	const V, L = 600, 250
-	m := &Model{cfg: Config{Delta: 0.01, PsiStore: psi}, numVenues: V,
-		deltaTotal: 0.01 * float64(V), venueSum: make([]float64, L)}
-	if psi == PsiStoreOn {
-		m.ps = newPsiStore(V)
-	} else {
-		m.venueCount = make([]map[gazetteer.VenueID]float64, L)
-	}
+	m := &Model{cfg: Config{Delta: 0.01}, numVenues: V,
+		deltaTotal: 0.01 * float64(V), venueSum: make([]float64, L), ps: newPsiStore(V)}
 	rng := rand.New(rand.NewSource(3))
 	for v := 0; v < V; v++ {
 		for i, n := 0, 2+rng.Intn(6); i < n; i++ {
@@ -228,50 +222,33 @@ func benchPsiWorld(b *testing.B, psi PsiStoreMode) (*Model, []gazetteer.CityID) 
 }
 
 // BenchmarkPsiLookup measures one tweet update's worth of ψ̂ resolution —
-// all 40 candidate counts for one venue — across the store × read-path
-// matrix: city-major maps vs the venue-major store, direct reads vs
-// reads through a worker overlay carrying pending deltas. The venue
-// store pays one row gather then array reads; the map path pays one map
-// probe per candidate (two with the overlay).
+// all 40 candidate counts for one venue — with direct reads and with
+// reads through a worker overlay carrying pending deltas: one row gather
+// then array reads.
 func BenchmarkPsiLookup(b *testing.B) {
-	for _, mode := range []PsiStoreMode{PsiStoreOff, PsiStoreOn} {
-		for _, overlay := range []bool{false, true} {
-			read := "direct"
-			if overlay {
-				read = "overlay"
-			}
-			b.Run(fmt.Sprintf("psi=%s/read=%s", mode, read), func(b *testing.B) {
-				m, cand := benchPsiWorld(b, mode)
-				ctx := &sweepCtx{m: m}
-				if overlay {
-					if mode == PsiStoreOn {
-						ctx.ovl = newPsiStore(m.numVenues)
-						ctx.ovlSum = make([]float64, len(m.venueSum))
-					} else {
-						ctx.vdelta = make(map[uint64]float64, 256)
-						ctx.vsum = map[gazetteer.CityID]float64{}
-					}
-					for v := 0; v < m.numVenues; v += 3 {
-						ctx.addVenue(cand[v%len(cand)], gazetteer.VenueID(v))
-					}
-				}
-				b.ResetTimer()
-				var sink float64
-				for n := 0; n < b.N; n++ {
-					v := gazetteer.VenueID(n % m.numVenues)
-					if m.ps != nil {
-						ctx.gatherPsi(v)
-						for _, l := range cand {
-							sink += ctx.gatheredPsi(l)
-						}
-					} else {
-						for _, l := range cand {
-							sink += ctx.psi(l, v)
-						}
-					}
-				}
-				_ = sink
-			})
+	for _, overlay := range []bool{false, true} {
+		read := "direct"
+		if overlay {
+			read = "overlay"
 		}
+		b.Run("psi=venue/read="+read, func(b *testing.B) {
+			m, cand := benchPsiWorld(b)
+			ctx := &sweepCtx{m: m}
+			if overlay {
+				ctx.ensureOverlay()
+				for v := 0; v < m.numVenues; v += 3 {
+					ctx.addVenue(cand[v%len(cand)], gazetteer.VenueID(v))
+				}
+			}
+			b.ResetTimer()
+			var sink float64
+			for n := 0; n < b.N; n++ {
+				ctx.gatherPsi(gazetteer.VenueID(n % m.numVenues))
+				for _, l := range cand {
+					sink += ctx.gatheredPsi(l)
+				}
+			}
+			_ = sink
+		})
 	}
 }

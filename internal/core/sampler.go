@@ -182,11 +182,11 @@ func (m *Model) drawEdgeSide(ctx *sweepCtx, cand []gazetteer.CityID, phi, gamma,
 // factor ϕ+γ, times the distance factor to the fixed opposite endpoint
 // when the edge counts. The three loop variants compute the same
 // expression; they differ only in where d^α comes from — the dense bin
-// row of the opposite city (one in-row load per candidate), the
-// fallback table (haversine + memoized pow), or the exact path. The
-// candidate order and the single downstream Categorical draw are
-// identical in all three, which is what keeps a DistTable chain coupled
-// to the exact chain.
+// row of the opposite city (one in-row load per candidate), its sparse
+// pow row above the dense ceiling, or the exact path. The candidate
+// order and the single downstream Categorical draw are identical in all
+// three, which is what keeps a DistTable chain coupled to the exact
+// chain.
 func (m *Model) edgeWeights(weights []float64, cand []gazetteer.CityID, phi, gamma []float64, opp gazetteer.CityID, counted bool) {
 	if !counted {
 		for c := range cand {
@@ -200,15 +200,12 @@ func (m *Model) edgeWeights(weights []float64, cand []gazetteer.CityID, phi, gam
 			for c, l := range cand {
 				weights[c] = (phi[c] + gamma[c]) * pt[row[l]]
 			}
-		} else if prow := dt.powRow(opp); prow != nil {
+		} else {
 			// Sparse pow row of the fixed opposite endpoint: logMiles is
 			// symmetric, so prow[l] is the same value pow(l, opp) yields.
+			prow := dt.powRow(opp)
 			for c, l := range cand {
 				weights[c] = (phi[c] + gamma[c]) * prow[l]
-			}
-		} else {
-			for c, l := range cand {
-				weights[c] = (phi[c] + gamma[c]) * dt.pow(l, opp)
 			}
 		}
 		return
@@ -244,14 +241,10 @@ func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, op
 				total += pg[c] * pt[row[l]]
 				cum[c] = total
 			}
-		} else if prow := dt.powRow(opp); prow != nil {
+		} else {
+			prow := dt.powRow(opp)
 			for c, l := range cand {
 				total += pg[c] * prow[l]
-				cum[c] = total
-			}
-		} else {
-			for c, l := range cand {
-				total += pg[c] * dt.pow(l, opp)
 				cum[c] = total
 			}
 		}
@@ -458,13 +451,10 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 				for _, j := range sup {
 					si += phiJ[j] * pt[row[candJ[j]]]
 				}
-			} else if prow := m.dt.powRow(candI[i]); prow != nil {
+			} else {
+				prow := m.dt.powRow(candI[i])
 				for _, j := range sup {
 					si += phiJ[j] * prow[candJ[j]]
-				}
-			} else {
-				for _, j := range sup {
-					si += phiJ[j] * m.dt.pow(candI[i], candJ[j])
 				}
 			}
 			rm := wx[i] * si
@@ -479,13 +469,10 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 				for _, j := range sup {
 					si += phiJ[j] * pt[row[candJ[j]]]
 				}
-			} else if prow := m.dt.powRow(candI[i]); prow != nil {
+			} else {
+				prow := m.dt.powRow(candI[i])
 				for _, j := range sup {
 					si += phiJ[j] * prow[candJ[j]]
-				}
-			} else {
-				for _, j := range sup {
-					si += phiJ[j] * m.dt.pow(candI[i], candJ[j])
 				}
 			}
 			rm := wx[i] * si
@@ -553,10 +540,8 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 			var d float64
 			if row != nil {
 				d = pt[row[candJ[j]]]
-			} else if prow != nil {
-				d = prow[candJ[j]]
 			} else {
-				d = m.dt.pow(candI[xi], candJ[j])
+				d = prow[candJ[j]]
 			}
 			acc += wxi * wy[j] * d
 			if u < acc {
@@ -578,152 +563,34 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 
 // updateTweet resamples z_k (Eq. 9) and ν_k (Eq. 6) for one tweeting
 // relationship, with the same counts-only-while-location-based convention
-// as updateEdge. This is the reference kernel over the city-major map
-// layout; with the venue-major store on, updateTweetStore takes over
-// (same conditionals, same draws, fingerprint-locked to this path).
+// as updateEdge. The fused pipeline runs the per-author batched kernel
+// (tweetbatch.go); the reference scan pipeline runs updateTweetScan. Both
+// compute the same conditionals with identical RNG consumption.
 func (m *Model) updateTweet(ctx *sweepCtx, k int) {
-	if m.batched {
-		m.updateTweetStoreBatched(ctx, k)
-		return
-	}
-	if m.ps != nil {
-		m.updateTweetStore(ctx, k)
-		return
-	}
-	t := m.corpus.Tweets[k]
-	cand := m.cands.cand[t.User]
-	gamma := m.cands.gamma[t.User]
-	phi := m.phi[t.User]
-	var pg []float64
 	if m.fused {
-		pg = m.pg[t.User]
-	}
-	counted := !m.nu[k]
-
-	// --- z_k (Eq. 9) ---
-	zi := int(m.tz[k])
-	if counted {
-		phi[zi]--
-		m.phiSum[t.User]--
-		if pg != nil {
-			pg[zi]--
-		}
-		ctx.removeVenue(cand[zi], t.Venue)
-	}
-	if m.fused {
-		// Fused: the fill loop accumulates the prefix as it resolves
-		// each candidate's ψ̂ — reading the maintained ϕ+γ mirror and,
-		// when sequential, the maintained reciprocal — and one uniform
-		// inverts it. The counted branch is hoisted out of the loop.
-		cum := ctx.arena.cumBuf(len(cand))
-		var total float64
-		if counted && ctx.ovl == nil && ctx.vdelta == nil {
-			// Sequential: the current assignment is already excluded by
-			// the surrounding remove/add churn, so ψ̂ is the plain
-			// smoothed count.
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				total += pg[c] * ((m.venueCnt(l, t.Venue) + delta) * rs[l])
-				cum[c] = total
-			}
-		} else if counted {
-			for c := range cand {
-				total += pg[c] * ctx.psi(cand[c], t.Venue)
-				cum[c] = total
-			}
-		} else {
-			for c := range cand {
-				total += pg[c]
-				cum[c] = total
-			}
-		}
-		zi = randutil.InvertCum(ctx.rng, cum)
-	} else {
-		weights := ctx.arena.buf(len(cand))
-		for c := range cand {
-			w := phi[c] + gamma[c]
-			if counted {
-				w *= ctx.psi(cand[c], t.Venue)
-			}
-			weights[c] = w
-		}
-		zi = randutil.Categorical(ctx.rng, weights)
-	}
-	if zi < 0 {
-		zi = int(m.tz[k])
-	}
-	m.tz[k] = uint16(zi)
-	if counted {
-		phi[zi]++
-		m.phiSum[t.User]++
-		if pg != nil {
-			pg[zi]++
-		}
-		ctx.addVenue(cand[zi], t.Venue)
-	}
-
-	// --- ν_k (Eq. 6) ---
-	if m.cfg.RhoT <= 0 || m.curIter <= m.cfg.NoiseBurnIn {
+		m.updateTweetBatched(ctx, k)
 		return
 	}
-	z := cand[zi]
-	if counted {
-		ctx.removeVenue(z, t.Venue) // exclude self before computing ψ̂
-	}
-	thetaZ := m.theta(t.User, zi, counted)
-	p1 := m.cfg.RhoT * m.tr[t.Venue]
-	p0 := (1 - m.cfg.RhoT) * thetaZ * ctx.psi(z, t.Venue)
-	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
-	if counted {
-		ctx.addVenue(z, t.Venue)
-	}
-	if noisy == m.nu[k] {
-		return
-	}
-	m.nu[k] = noisy
-	if noisy {
-		phi[zi]--
-		m.phiSum[t.User]--
-		ctx.removeVenue(z, t.Venue)
-	} else {
-		phi[zi]++
-		m.phiSum[t.User]++
-		ctx.addVenue(z, t.Venue)
-	}
-	if pg != nil {
-		if noisy {
-			pg[zi]--
-		} else {
-			pg[zi]++
-		}
-	}
+	m.updateTweetScan(ctx, k)
 }
 
-// updateTweetStore is the venue-major form of the tweet kernel, active
-// when Config.PsiStore is on. It computes the exact expressions of the
-// reference kernel — same conditionals, same two draws, identical RNG
-// consumption — with two structural savings:
+// updateTweetScan is the reference form of the tweet kernel: raw weights
+// and randutil.Categorical, with two structural savings over a literal
+// reading of Eqs. 6/9:
 //
 //   - the per-candidate ψ̂ probes become one gather over the venue's row
 //     (or direct row probes when the row is wider than the candidate
 //     set — psiGatherWorthwhile; either way the same counts);
-//   - the remove-read-add churn around the exclusions goes away. The
-//     reference excludes the current assignment by mutating the counts
-//     and reading them back; here the exclusion is applied
-//     arithmetically to the one city it affects (cnt−1, sum−1 — exact,
-//     the counts are integer-valued floats), and the store is written
-//     only when the assignment actually moves. Final counts and every
-//     value fed to a draw are bit-identical to the reference; the
-//     golden matrix locks this.
-func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
+//   - the current assignment is excluded arithmetically from the one
+//     city it affects (cnt−1, sum−1 — exact, the counts are
+//     integer-valued floats), instead of by mutating the counts and
+//     reading them back, and the store is written only when the
+//     assignment actually moves.
+func (m *Model) updateTweetScan(ctx *sweepCtx, k int) {
 	t := m.corpus.Tweets[k]
 	cand := m.cands.cand[t.User]
 	gamma := m.cands.gamma[t.User]
 	phi := m.phi[t.User]
-	var pg []float64
-	if m.fused {
-		pg = m.pg[t.User]
-	}
 	counted := !m.nu[k]
 
 	// --- z_k (Eq. 9) ---
@@ -732,21 +599,10 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 	if counted {
 		phi[zi]--
 		m.phiSum[t.User]--
-		if pg != nil {
-			pg[zi]--
-		}
 	}
-	var next int
-	gathered := false
-	if m.fused {
-		cum := ctx.arena.cumBuf(len(cand))
-		gathered = m.tweetStoreCum(ctx, cum, t.Venue, cand, pg, counted, exCity)
-		next = randutil.InvertCum(ctx.rng, cum)
-	} else {
-		weights := ctx.arena.buf(len(cand))
-		m.tweetStoreWeights(ctx, weights, t.Venue, cand, gamma, phi, counted, exCity)
-		next = randutil.Categorical(ctx.rng, weights)
-	}
+	weights := ctx.arena.buf(len(cand))
+	m.tweetWeights(ctx, weights, t.Venue, cand, gamma, phi, counted, exCity)
+	next := randutil.Categorical(ctx.rng, weights)
 	if next < 0 {
 		next = zi
 	}
@@ -754,9 +610,6 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 	if counted {
 		phi[next]++
 		m.phiSum[t.User]++
-		if pg != nil {
-			pg[next]++
-		}
 		if cand[next] != exCity {
 			ctx.removeVenue(exCity, t.Venue)
 			ctx.addVenue(cand[next], t.Venue)
@@ -770,25 +623,9 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 	}
 	z := cand[zi]
 	var psiZ float64
-	switch {
-	case counted && gathered && ctx.ovl == nil:
-		// The fused fill's gather is still current for this venue, so
-		// z's count comes from the epoch-stamped scratch instead of a
-		// fresh row probe. The gather predates the post-draw store
-		// write, so a moved assignment adds its own observation back
-		// before the self-exclusion; the resulting cnt/sum pair — and
-		// hence the division — is bit-identical to psiExcl's.
-		var cnt float64
-		if cell := &ctx.gcells[z]; cell.stamp == ctx.gepoch {
-			cnt = cell.cnt
-		}
-		if z != exCity {
-			cnt++
-		}
-		psiZ = m.psiFrom(cnt-1, m.venueSum[z]-1)
-	case counted:
+	if counted {
 		psiZ = ctx.psiExcl(z, t.Venue, z) // exclude self
-	default:
+	} else {
 		psiZ = ctx.psi(z, t.Venue)
 	}
 	thetaZ := m.theta(t.User, zi, counted)
@@ -808,24 +645,16 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 		m.phiSum[t.User]++
 		ctx.addVenue(z, t.Venue)
 	}
-	if pg != nil {
-		if noisy {
-			pg[zi]--
-		} else {
-			pg[zi]++
-		}
-	}
 }
 
-// tweetStoreWeights fills the tweet-store kernel's per-candidate
-// conditional into weights — the reference path's raw-weight form,
-// unchanged from before the fused pipeline. The branches select the
-// cheapest exact way to resolve each candidate's ψ̂: a one-pass row
-// gather versus direct row probes (psiGatherWorthwhile), each split by
-// overlay presence so the inner loops carry no per-candidate calls.
-// The Eq. 6/9 exclusion of the current assignment is applied
-// arithmetically (cnt−1/sum−1) to the one city it affects.
-func (m *Model) tweetStoreWeights(ctx *sweepCtx, weights []float64, v gazetteer.VenueID, cand []gazetteer.CityID, gamma, phi []float64, counted bool, exCity gazetteer.CityID) {
+// tweetWeights fills the scan tweet kernel's per-candidate conditional
+// into weights. The branches select the cheapest exact way to resolve
+// each candidate's ψ̂: a one-pass row gather versus direct row probes
+// (psiGatherWorthwhile), each split by overlay presence so the inner
+// loops carry no per-candidate calls. The Eq. 6/9 exclusion of the
+// current assignment is applied arithmetically (cnt−1/sum−1) to the one
+// city it affects.
+func (m *Model) tweetWeights(ctx *sweepCtx, weights []float64, v gazetteer.VenueID, cand []gazetteer.CityID, gamma, phi []float64, counted bool, exCity gazetteer.CityID) {
 	switch {
 	case !counted:
 		for c := range cand {
@@ -880,85 +709,6 @@ func (m *Model) tweetStoreWeights(ctx *sweepCtx, weights []float64, v gazetteer.
 			}
 		}
 	}
-}
-
-// tweetStoreCum is the fused twin of tweetStoreWeights: the same branch
-// structure and the same per-candidate expressions folded into a single
-// pass that accumulates the running prefix into cum, with the
-// overlay-free branches' per-candidate psiFrom division hoisted into
-// the maintained reciprocal (Model.venueRSum). The weights are
-// non-negative, so the unconditional additions match Categorical's
-// positives-only summation bit for bit. It reports whether the fill
-// gathered the venue's row, so the caller's ν-step can reuse the
-// still-current scratch instead of re-probing.
-func (m *Model) tweetStoreCum(ctx *sweepCtx, cum []float64, v gazetteer.VenueID, cand []gazetteer.CityID, pg []float64, counted bool, exCity gazetteer.CityID) (gathered bool) {
-	pg = pg[:len(cand)]
-	cum = cum[:len(cand)]
-	var total float64
-	switch {
-	case !counted:
-		for c := range cand {
-			total += pg[c]
-			cum[c] = total
-		}
-	case ctx.psiGatherWorthwhile(v, len(cand)):
-		gathered = true
-		ctx.gatherPsi(v)
-		if ctx.ovl == nil {
-			gcells, ep := ctx.gcells, ctx.gepoch
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				var cnt float64
-				if cell := &gcells[l]; cell.stamp == ep {
-					cnt = cell.cnt
-				}
-				var p float64
-				if l != exCity {
-					// Hoisted ψ̂: (cnt+δ)·rsum[l] — the maintained
-					// reciprocal in place of the per-candidate division.
-					p = (cnt + delta) * rs[l]
-				} else {
-					p = m.psiFrom(cnt-1, m.venueSum[l]-1)
-				}
-				total += pg[c] * p
-				cum[c] = total
-			}
-		} else {
-			for c, l := range cand {
-				total += pg[c] * ctx.gatheredPsiExcl(l, exCity)
-				cum[c] = total
-			}
-		}
-	default:
-		base := &m.ps.rows[v]
-		if ctx.ovl == nil {
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				cnt := base.get(int32(l))
-				var p float64
-				if l != exCity {
-					p = (cnt + delta) * rs[l]
-				} else {
-					p = m.psiFrom(cnt-1, m.venueSum[l]-1)
-				}
-				total += pg[c] * p
-				cum[c] = total
-			}
-		} else {
-			orow := &ctx.ovl.rows[v]
-			for c, l := range cand {
-				cnt := base.get(int32(l)) + orow.get(int32(l))
-				sum := m.venueSum[l] + ctx.ovlSum[l]
-				if l == exCity {
-					cnt--
-					sum--
-				}
-				total += pg[c] * m.psiFrom(cnt, sum)
-				cum[c] = total
-			}
-		}
-	}
-	return gathered
 }
 
 // Histogram binning shared by the initial data fit and the EM refits.

@@ -145,15 +145,7 @@ func (m *Model) sweepSharded() {
 				continue
 			}
 			if len(tweets) > 0 {
-				if m.ps != nil {
-					if ctx.ovl == nil {
-						ctx.ovl = newPsiStore(m.numVenues)
-						ctx.ovlSum = make([]float64, len(m.venueSum))
-					}
-				} else if ctx.vdelta == nil {
-					ctx.vdelta = make(map[uint64]float64, 256)
-					ctx.vsum = make(map[gazetteer.CityID]float64, 64)
-				}
+				ctx.ensureOverlay()
 			}
 			wg.Add(1)
 			go func(ctx *sweepCtx, edges, tweets []int32) {
@@ -365,7 +357,7 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 
 // drawEdgeSideStale is drawEdgeSide for a remote friend side: the
 // profile factor comes from the snapshot row (own counted assignment
-// subtracted), the distance factor from the same three table variants as
+// subtracted), the distance factor from the same table variants as
 // edgeWeights, and the draw consumes one uniform iff the mass is
 // positive — keeping the stale chain draw-for-draw coupled to the synced
 // one on identical weights.
@@ -385,13 +377,10 @@ func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma,
 				for c, l := range cand {
 					w[c] *= pt[row[l]]
 				}
-			} else if prow := dt.powRow(opp); prow != nil {
+			} else {
+				prow := dt.powRow(opp)
 				for c, l := range cand {
 					w[c] *= prow[l]
-				}
-			} else {
-				for c, l := range cand {
-					w[c] *= dt.pow(l, opp)
 				}
 			}
 		} else {

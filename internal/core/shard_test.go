@@ -181,24 +181,22 @@ func TestShards1GoldenMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				t.Run(g.name+"/"+p.name+"/"+f.name+"/shards=1", func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.Workers = g.workers
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					cfg.Shards = 1
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := fitFingerprint(m); got != g.fingerprint {
-						t.Errorf("Shards=1 %s/%s/%s fingerprint %#x differs from golden %#x", g.name, p.name, f.name, got, g.fingerprint)
-					}
-				})
-			}
+		for _, f := range goldenDrawModes {
+			name := g.name + "/" + goldenPsiCell + "/" + f.name
+			t.Run(name+"/shards=1", func(t *testing.T) {
+				cfg := goldenCfg()
+				cfg.Workers = g.workers
+				cfg.DistTable = g.dist
+				cfg.FusedDraw = f.draw
+				cfg.Shards = 1
+				m, err := Fit(&d.Corpus, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fitFingerprint(m); got != g.fingerprint {
+					t.Errorf("Shards=1 %s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
+				}
+			})
 		}
 	}
 }

@@ -47,6 +47,13 @@ var snapshotMagic = [8]byte{'M', 'L', 'P', 'S', 'N', 'A', 'P', '\n'}
 // to the config section.
 const SnapshotVersion uint32 = 2
 
+// psiStoreSlot fills the config slot of the retired PsiStore knob with
+// the value its default (venue-major) setting wrote, so snapshots stay
+// byte-identical to those of earlier version 2 writers. Decoders ignore
+// the slot: a file written with the city-major setting (2) holds the
+// same venue triples and loads the same way.
+const psiStoreSlot = 1
+
 // snapshotFlagSharded marks a file that carries one shard's slice of
 // the model state rather than a whole model. Such files live inside a
 // snapshot directory (see snapshot_shard.go) and are rejected by the
@@ -222,6 +229,7 @@ func (r *snapReader) f64s() []float64 {
 // OnIteration (a callback) is the one field that cannot travel; a loaded
 // model never sweeps, so nothing consults it.
 func encodeConfig(w *snapWriter, c Config) {
+
 	w.i64(c.Seed)
 	w.i64(int64(c.Variant))
 	w.i64(int64(c.Iterations))
@@ -241,7 +249,7 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.i64(int64(c.EMPairSample))
 	w.bool(c.BlockedSampler)
 	w.i64(int64(c.DistTable))
-	w.i64(int64(c.PsiStore))
+	w.i64(psiStoreSlot)
 	w.i64(int64(c.FusedDraw))
 	w.bool(c.DisableNoiseMixture)
 	w.bool(c.DisableSupervision)
@@ -271,7 +279,7 @@ func decodeConfig(r *snapReader) Config {
 	c.EMPairSample = int(r.i64())
 	c.BlockedSampler = r.bool()
 	c.DistTable = DistTableMode(r.i64())
-	c.PsiStore = PsiStoreMode(r.i64())
+	r.i64() // psiStoreSlot: ignored
 	c.FusedDraw = FusedDrawMode(r.i64())
 	c.DisableNoiseMixture = r.bool()
 	c.DisableSupervision = r.bool()
@@ -300,7 +308,7 @@ func checkWorldFingerprint(c *dataset.Corpus, r *snapReader) error {
 
 // newSnapshotModel builds the deterministic, corpus-derived part of a
 // loaded model: distance machinery, candidacy vectors and priors, and
-// empty venue-count stores in whichever layout the config selects. The
+// an empty venue-count store. The
 // caller scatters the snapshot-carried state (ϕ, latent assignments,
 // venue triples) into it.
 func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters int) *Model {
@@ -320,7 +328,7 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 	// The distance table serves MAPExplainEdge's d^α exactly as the
 	// fitted model's last α-epoch did: same table, same final exponent.
 	if m.useF && cfg.DistTable != DistTableOff {
-		m.dt = distTableFor(m.dc, c.Gaz, cfg.SparseBins != SparseBinsOff)
+		m.dt = distTableFor(m.dc, c.Gaz)
 		m.dt.setAlpha(m.alpha)
 	}
 
@@ -330,18 +338,13 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 
 	m.numVenues = c.Venues.Len()
 	m.deltaTotal = m.cfg.Delta * float64(m.numVenues)
-	L := c.Gaz.Len()
-	if m.cfg.PsiStore == PsiStoreOn {
-		m.ps = newPsiStore(m.numVenues)
-	} else {
-		m.venueCount = make([]map[gazetteer.VenueID]float64, L)
-	}
-	m.venueSum = make([]float64, L)
+	m.ps = newPsiStore(m.numVenues)
+	m.venueSum = make([]float64, c.Gaz.Len())
 	return m
 }
 
 // addVenueTriple folds one decoded (venue, city, count) triple into the
-// active count layout, validating range and integrality. venueSum is the
+// venue-count store, validating range and integrality. venueSum is the
 // per-city total of integer-valued counts, so summing reproduces the
 // fitted model's incrementally maintained value exactly.
 func (m *Model) addVenueTriple(v, l int, cnt float64) error {
@@ -351,14 +354,7 @@ func (m *Model) addVenueTriple(v, l int, cnt float64) error {
 	if cnt <= 0 || cnt != math.Trunc(cnt) {
 		return fmt.Errorf("core: snapshot venue count (%d, %d) = %v is not a positive integer", v, l, cnt)
 	}
-	if m.ps != nil {
-		m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), cnt)
-	} else {
-		if m.venueCount[l] == nil {
-			m.venueCount[l] = make(map[gazetteer.VenueID]float64, 8)
-		}
-		m.venueCount[l][gazetteer.VenueID(v)] += cnt
-	}
+	m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), cnt)
 	m.venueSum[l] += cnt
 	return nil
 }
@@ -407,33 +403,26 @@ func (m *Model) EncodeSnapshot(wr io.Writer) error {
 		w.u16s(m.tz)
 	}
 
-	// Collapsed venue counts as sorted (venue, city, count) triples —
-	// layout-independent, so a snapshot written under either PsiStore
-	// mode loads into either.
-	type triple struct {
-		v   int32
-		l   int32
-		cnt float64
+	// Collapsed venue counts as (venue, city, count) triples sorted by
+	// venue then city — independent of the store's slot order.
+	n := 0
+	for v := range m.ps.rows {
+		n += m.ps.rows[v].live()
 	}
-	var triples []triple
-	//mlp:allow maporder order-independent: triples are fully sorted below before encoding
-	for l, counts := range m.venueCountsByCity() {
-		//mlp:allow maporder order-independent: triples are fully sorted below before encoding
-		for v, cnt := range counts {
-			triples = append(triples, triple{int32(v), int32(l), cnt})
+	w.u32(uint32(n))
+	var order []int
+	for v := range m.ps.rows {
+		r := &m.ps.rows[v]
+		order = order[:0]
+		for i := range r.cities {
+			order = append(order, i)
 		}
-	}
-	sort.Slice(triples, func(i, j int) bool {
-		if triples[i].v != triples[j].v {
-			return triples[i].v < triples[j].v
+		sort.Slice(order, func(a, b int) bool { return r.cities[order[a]] < r.cities[order[b]] })
+		for _, i := range order {
+			w.u32(uint32(v))
+			w.u32(uint32(r.cities[i]))
+			w.f64(r.vals[i])
 		}
-		return triples[i].l < triples[j].l
-	})
-	w.u32(uint32(len(triples)))
-	for _, t := range triples {
-		w.u32(uint32(t.v))
-		w.u32(uint32(t.l))
-		w.f64(t.cnt)
 	}
 
 	// Trailer: checksum of everything above, so a truncated or corrupted

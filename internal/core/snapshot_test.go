@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -76,51 +79,102 @@ func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus)
 	}
 }
 
+// withPsiSlot returns a copy of the whole-model snapshot snap with
+// the config slot of the retired PsiStore knob set to v and the trailer
+// checksum recomputed — what a writer with the knob at that setting
+// produced (1 = venue-major, 2 = city-major maps). It fails the test if
+// the slot does not hold psiStoreSlot, so a moved slot cannot go
+// unnoticed.
+func withPsiSlot(t *testing.T, snap []byte, v int64) []byte {
+	t.Helper()
+	// Header (magic, version, flags, shard index, shard count), the world
+	// fingerprint, then the config fields before the slot: Seed, Variant,
+	// Iterations, Workers, RhoF, RhoT, NoiseBurnIn, Alpha, Beta, Tau,
+	// GammaBoost, Delta, MaxCandidates, MaxVenueSenses (14×8 bytes),
+	// GibbsEM (1), EMInterval, EMPairSample (2×8), BlockedSampler (1),
+	// DistTable (8).
+	off := len(snapshotMagic) + 4*4 + int(dataset.NumFingerprintSections)*sha256.Size +
+		14*8 + 1 + 2*8 + 1 + 8
+	if got := binary.LittleEndian.Uint64(snap[off:]); got != psiStoreSlot {
+		t.Fatalf("PsiStore slot at byte %d holds %d, want %d", off, got, psiStoreSlot)
+	}
+	out := bytes.Clone(snap)
+	binary.LittleEndian.PutUint64(out[off:], uint64(v))
+	payload := out[:len(out)-sha256.Size]
+	sum := sha256.Sum256(payload)
+	copy(out[len(payload):], sum[:])
+	return out
+}
+
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under every Workers × DistTable × PsiStore ×
-// FusedDraw cell of the golden matrix, encode → decode must reproduce
-// every readout bit for bit. The PsiStore axis additionally crosses the
-// save layout with the load layout (the triple encoding is
-// layout-independent).
+// determinism matrix: under every Workers × DistTable × FusedDraw cell
+// of the golden matrix, encode → decode must reproduce every readout
+// bit for bit. The psi=map cells load the same snapshot with the retired
+// PsiStore slot set to the city-major value: the decoder ignores the
+// slot, so the loaded model must re-encode to the original bytes (the
+// full readout check on such a file is in
+// TestSnapshotEncodingDeterministic).
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				if testing.Short() && (g.workers != 1 || p.psi != PsiStoreOn || f.draw != FusedDrawOn) {
-					continue // -short: default cell only
-				}
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.Workers = g.workers
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := m.EncodeSnapshot(&buf); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireReadEquality(t, m, loaded, &d.Corpus)
-				})
+		for _, f := range goldenDrawModes {
+			if testing.Short() && (g.workers != 1 || f.draw != FusedDrawOn) {
+				continue // -short: default cell only
 			}
+			cfg := goldenCfg()
+			cfg.Workers = g.workers
+			cfg.DistTable = g.dist
+			cfg.FusedDraw = f.draw
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.EncodeSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			t.Run(g.name+"/psi=map/"+f.name, func(t *testing.T) {
+				loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withPsiSlot(t, buf.Bytes(), 2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var re bytes.Buffer
+				if err := loaded.EncodeSnapshot(&re); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(re.Bytes(), buf.Bytes()) {
+					t.Fatal("model loaded from a city-major snapshot re-encodes to different bytes")
+				}
+			})
+			t.Run(g.name+"/"+goldenPsiCell+"/"+f.name, func(t *testing.T) {
+				loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireReadEquality(t, m, loaded, &d.Corpus)
+			})
 		}
 	}
 }
 
+// Pinned SHA-256 digests of the golden fit's snapshot, captured before
+// the PsiStore knob was retired: goldenSnapshotSHA is what the default
+// venue-major writer produced, goldenSnapshotMapSHA what the city-major
+// writer produced (the same bytes except the PsiStore slot and the
+// trailer).
+const (
+	goldenSnapshotSHA    = "fca21a3fc9f6a8cd85c0287473c80602dad6216b2b740b29f88bb9c41d057cf7"
+	goldenSnapshotMapSHA = "f99fe20b0c1c2baf6082ce77998f60f90d3cbcb85d7415eb3a9e7cec3eff6dd4"
+)
+
 // TestSnapshotEncodingDeterministic: the same fitted model must serialize
-// to identical bytes, and the bytes must agree across count layouts (the
-// venue triples are emitted sorted, not in internal iteration order).
+// to identical bytes, and those bytes must match the pinned digest (the
+// venue triples are emitted sorted, not in internal iteration order). A
+// city-major snapshot — the pinned bytes with the PsiStore slot at 2 —
+// must still load.
 func TestSnapshotEncodingDeterministic(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -140,26 +194,19 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two encodings of the same model differ")
 	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(a.Bytes())); got != goldenSnapshotSHA {
+		t.Errorf("snapshot SHA-256 %s differs from pinned %s", got, goldenSnapshotSHA)
+	}
 
-	// The map-layout fit holds identical counts (the golden matrix locks
-	// this), so its snapshot must be byte-identical too.
-	cfgMap := goldenCfg()
-	cfgMap.PsiStore = PsiStoreOff
-	mm, err := Fit(&d.Corpus, cfgMap)
+	legacy := withPsiSlot(t, a.Bytes(), 2)
+	if got := fmt.Sprintf("%x", sha256.Sum256(legacy)); got != goldenSnapshotMapSHA {
+		t.Errorf("city-major snapshot SHA-256 %s differs from pinned %s", got, goldenSnapshotMapSHA)
+	}
+	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	if err := mm.EncodeSnapshot(&c); err != nil {
-		t.Fatal(err)
-	}
-	// Configs differ (PsiStore byte), so compare everything after the
-	// config block indirectly: decode both and compare readouts.
-	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(c.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireReadEquality(t, mm, loaded, &d.Corpus)
+	requireReadEquality(t, m, loaded, &d.Corpus)
 }
 
 // TestSnapshotSaveLoadFile exercises the atomic file path.
@@ -300,7 +347,7 @@ func TestSnapshotVariants(t *testing.T) {
 // TestShardedSnapshotRoundTrip: a model fitted with Shards=4 saved as a
 // sharded directory and loaded back (via the LoadSnapshot directory
 // route) must reproduce every readout bit for bit, under both boundary
-// protocols and both count layouts.
+// protocols.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -309,16 +356,14 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		stale bool
-		psi   PsiStoreMode
 	}{
-		{"sync/psi=venue", false, PsiStoreOn},
-		{"stale/psi=map", true, PsiStoreOff},
+		{"sync/" + goldenPsiCell, false},
+		{"stale/" + goldenPsiCell, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.Shards = 4
 			cfg.StaleBoundary = mode.stale
-			cfg.PsiStore = mode.psi
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
 				t.Fatal(err)

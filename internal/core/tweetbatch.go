@@ -5,8 +5,8 @@ import (
 	"mlprofile/internal/randutil"
 )
 
-// This file implements the per-author tweet-draw batching layer behind
-// Config.TweetBatch (see DESIGN.md §14). Consecutive tweets of one
+// This file implements the per-author batched tweet kernel of the fused
+// draw pipeline (see DESIGN.md §14). Consecutive tweets of one
 // author share the same candidate set, and between two of the author's
 // own draws nothing this stream can see mutates the venue counts — the
 // sequential chain interleaves no other author inside the run, and a
@@ -20,12 +20,8 @@ import (
 // ψ̂ would need an all-entries repair per accepted move — measured as a
 // net pessimization. Counts are venue-local, so a move repairs exactly
 // one entry at one index, and the fill recomputes ψ̂ from the cached
-// count and the always-current maintained reciprocal — the same fused
-// multiply the unbatched kernel runs, minus its per-draw gather. Every
-// value fed to a draw is computed from the same operands with the same
-// operations as updateTweetStore, so the batched chain is bit-identical
-// to the unbatched one (the golden matrix's batch axis locks this);
-// only the probe/gather work is amortized.
+// count and the always-current maintained reciprocal, so the per-draw
+// gather is amortized across the run.
 
 // tweetBatchEntries is the per-stream cache size. It should cover a
 // typical author's distinct-venue working set within one run (the bench
@@ -75,8 +71,8 @@ type tweetBatch struct {
 	// the run. Caching the reciprocal keyed on the denominator value
 	// folds those divisions into one per change. num·(1/den) can differ
 	// from num/den by one ulp; on the golden world no draw flips (the
-	// batch axis of the fingerprint matrix locks this) and the general
-	// case sits far inside the equivalence tolerance.
+	// frozen fingerprints lock this) and the general case sits far
+	// inside the equivalence tolerance.
 	thetaDen  float64
 	thetaRDen float64
 
@@ -105,10 +101,10 @@ func (b *tweetBatch) resetFor(user int32, iter int) {
 
 // entryFor returns the current author's cached entry for venue v,
 // gathering counts into a (possibly recycled) slot on miss. The gather
-// resolves the exact counts the unbatched kernel would probe — via the
-// store row walk or direct probes, whichever is cheaper
-// (psiGatherWorthwhile), overlay deltas included on a worker — so
-// reading the entry is bit-identical to re-probing.
+// resolves the exact counts a per-draw probe would — via the store row
+// walk or direct probes, whichever is cheaper (psiGatherWorthwhile),
+// overlay deltas included on a worker — so reading the entry is
+// bit-identical to re-probing.
 func (b *tweetBatch) entryFor(ctx *sweepCtx, v gazetteer.VenueID, cand []gazetteer.CityID) *batchEntry {
 	m := ctx.m
 	if int(v) >= len(b.vstamp) {
@@ -209,15 +205,14 @@ func (b *tweetBatch) theta(m *Model, u int32, idx int, excludeSelf bool) float64
 	return num * b.thetaRDen
 }
 
-// updateTweetStoreBatched is the batched form of updateTweetStore,
-// active when Model.batched (fused pipeline + venue-major store +
-// Config.TweetBatch on). Same conditionals, same two draws, identical
-// RNG consumption; the per-candidate ψ̂ resolution is served from the
+// updateTweetBatched is the fused pipeline's tweet kernel. Same
+// conditionals, same two draws and identical RNG consumption as
+// updateTweetScan; the per-candidate ψ̂ resolution is served from the
 // per-author batch cache instead of per-draw gathers, and the Eq. 6/9
 // exclusion is applied to the one candidate index it affects (candidate
 // cities are unique within a user's set, so only the current
 // assignment's index carries the excluded city).
-func (m *Model) updateTweetStoreBatched(ctx *sweepCtx, k int) {
+func (m *Model) updateTweetBatched(ctx *sweepCtx, k int) {
 	t := m.corpus.Tweets[k]
 	u := t.User
 	cand := m.cands.cand[u]
@@ -244,11 +239,11 @@ func (m *Model) updateTweetStoreBatched(ctx *sweepCtx, k int) {
 	var total float64
 	var e *batchEntry
 	if counted {
-		// ψ̂ computed inline from the cached counts — the identical
-		// expressions tweetStoreCum runs (maintained-reciprocal multiply
-		// off-overlay, psiFrom division on-overlay, cnt−1/sum−1 at the
-		// excluded index), minus the per-draw gather. Candidate cities
-		// are unique per user, so the exclusion hits exactly index zi.
+		// ψ̂ computed inline from the cached counts: the maintained-
+		// reciprocal multiply off-overlay, the psiFrom division
+		// on-overlay, and cnt−1/sum−1 at the excluded index. Candidate
+		// cities are unique per user, so the exclusion hits exactly
+		// index zi.
 		e = b.entryFor(ctx, t.Venue, cand)
 		cnt := e.cnt[:len(cand)]
 		if ctx.ovl == nil {
@@ -307,7 +302,7 @@ func (m *Model) updateTweetStoreBatched(ctx *sweepCtx, k int) {
 	if counted {
 		// Exclude self against the z-step's (since repaired) entry:
 		// e.cnt[zi] already includes the moved-in assignment, exactly the
-		// post-move count the unbatched kernel reads back before its −1.
+		// post-move count a fresh probe would read before its −1.
 		// The pointer is still valid — only entryFor recycles slots, and
 		// none ran since the fill.
 		sum := m.venueSum[z]
@@ -370,7 +365,6 @@ func (m *Model) TweetBatchStats() TweetBatchStats {
 	return s
 }
 
-// TweetBatchActive reports whether the fit ran the batched tweet kernel
-// (Config.TweetBatch on top of the fused pipeline and the venue-major
-// store).
-func (m *Model) TweetBatchActive() bool { return m.batched }
+// TweetBatchActive reports whether the fit ran the batched tweet kernel,
+// which the fused draw pipeline always does.
+func (m *Model) TweetBatchActive() bool { return m.fused }
