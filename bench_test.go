@@ -276,42 +276,12 @@ func BenchmarkAblationGibbsEM(b *testing.B) {
 	runAblation(b, core.Config{Seed: 9, Iterations: 10})
 }
 
-// BenchmarkAblationBlockedSampler swaps the paper's per-variable updates
-// for a blocked joint (µ, x, y) draw.
-func BenchmarkAblationBlockedSampler(b *testing.B) {
-	runAblation(b, core.Config{Seed: 9, Iterations: 10, GibbsEM: true, BlockedSampler: true})
-}
-
 // --- Micro-benchmarks of the hot paths ---
 
-// benchDistModes is the DistTable axis of the sampler benchmarks: the
-// exact reference path vs the quantized distance table (the default).
-var benchDistModes = []struct {
-	name string
-	mode core.DistTableMode
-}{
-	{"exact", core.DistTableOff},
-	{"table", core.DistTableOn},
-}
-
-// benchDrawModes is the FusedDraw axis: the reference fill +
-// Categorical path vs the fused prefix-sum pipeline (the default).
-var benchDrawModes = []struct {
-	name string
-	mode core.FusedDrawMode
-}{
-	{"scan", core.FusedDrawOff},
-	{"fused", core.FusedDrawOn},
-}
-
 // BenchmarkGibbsSweep measures raw sampler throughput: relationships
-// resampled per second on the bench world, across the full execution
-// matrix — per-variable vs blocked edge kernel, exact vs distance-table
-// d^α, scan vs fused draws, sequential vs partitioned parallel sweep.
-// The table/exact ratio on one kernel is the distance-table speedup, and
-// the blocked/exact leg at the default MaxCandidates=40 is the
-// O(|cand|²) wall the ROADMAP called unusable. Cell names keep the
-// psi=venue segment of the retired PsiStore axis.
+// resampled per second on the bench world, sequential vs partitioned
+// parallel sweep. Cell names keep the kernel, dist, psi and draw
+// segments of the retired axes, so they match earlier runs.
 func BenchmarkGibbsSweep(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
@@ -320,66 +290,43 @@ func BenchmarkGibbsSweep(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		workerCounts = append(workerCounts, n)
 	}
-	for _, kernel := range []struct {
-		name    string
-		blocked bool
-	}{{"pervar", false}, {"blocked", true}} {
-		for _, dist := range benchDistModes {
-			for _, draw := range benchDrawModes {
-				for _, workers := range workerCounts {
-					name := fmt.Sprintf("kernel=%s/dist=%s/psi=venue/draw=%s/workers=%d", kernel.name, dist.name, draw.name, workers)
-					b.Run(name, func(b *testing.B) {
-						// 8 sweeps per fit and a reduced init pair sample,
-						// so the op measures sweep throughput rather than
-						// the per-fit setup; cmd/mlpbench separates the two
-						// exactly.
-						const sweeps = 8
-						for i := 0; i < b.N; i++ {
-							cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1,
-								EMPairSample: 20000, Workers: workers,
-								BlockedSampler: kernel.blocked, DistTable: dist.mode,
-								FusedDraw: draw.mode}
-							if _, err := core.Fit(c, cfg); err != nil {
-								b.Fatal(err)
-							}
-						}
-						b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
-					})
-				}
-			}
-		}
-	}
-}
-
-// benchEdgeKernel isolates the edge kernel: a FollowingOnly fit on the
-// bench world (no tweet phase), several sweeps so the per-fit setup
-// (gazetteer table build, candidates, init) amortizes.
-func benchEdgeKernel(b *testing.B, mode core.DistTableMode) {
-	d, test := ablationSetup(b)
-	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
-	const sweeps = 4
-	for _, kernel := range []struct {
-		name    string
-		blocked bool
-	}{{"pervar", false}, {"blocked", true}} {
-		b.Run(kernel.name, func(b *testing.B) {
+	for _, workers := range workerCounts {
+		name := fmt.Sprintf("kernel=pervar/dist=table/psi=venue/draw=fused/workers=%d", workers)
+		b.Run(name, func(b *testing.B) {
+			// 8 sweeps per fit and a reduced init pair sample, so the op
+			// measures sweep throughput rather than the per-fit setup;
+			// cmd/mlpbench separates the two exactly.
+			const sweeps = 8
 			for i := 0; i < b.N; i++ {
-				cfg := core.Config{Seed: 9, Variant: core.FollowingOnly, Iterations: sweeps,
-					BlockedSampler: kernel.blocked, DistTable: mode}
+				cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1,
+					EMPairSample: 20000, Workers: workers}
 				if _, err := core.Fit(c, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(c.Edges)*sweeps), "edge-updates/op")
+			b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
 		})
 	}
 }
 
-// BenchmarkEdgeKernelExact / BenchmarkEdgeKernelTable are the
-// benchmark-regression guard pair for the distance-table work: track
-// their ratio (see cmd/mlpbench for the JSON trail).
-func BenchmarkEdgeKernelExact(b *testing.B) { benchEdgeKernel(b, core.DistTableOff) }
-func BenchmarkEdgeKernelTable(b *testing.B) { benchEdgeKernel(b, core.DistTableOn) }
+// BenchmarkEdgeKernelTable isolates the edge kernel: a FollowingOnly fit
+// on the bench world (no tweet phase), several sweeps so the per-fit
+// setup (gazetteer table build, candidates, init) amortizes. The
+// sub-benchmark name keeps the retired kernel axis's segment.
+func BenchmarkEdgeKernelTable(b *testing.B) {
+	d, test := ablationSetup(b)
+	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
+	const sweeps = 4
+	b.Run("pervar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := core.Config{Seed: 9, Variant: core.FollowingOnly, Iterations: sweeps}
+			if _, err := core.Fit(c, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(c.Edges)*sweeps), "edge-updates/op")
+	})
+}
 
 // BenchmarkTweetKernel isolates the tweet kernel the same way: a
 // TweetingOnly fit has no edge phase, so a sweep is exactly one pass of

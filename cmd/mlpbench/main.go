@@ -1,8 +1,8 @@
-// Command mlpbench runs the sampler benchmark matrix — edge kernel ×
-// distance mode × ψ̂-store mode × draw pipeline × worker count, plus a
-// batch/layout ablation block and the shard axis — on a synthetic world
-// and writes the results as JSON, so the performance trajectory is
-// tracked as a checked-in artifact from PR to PR instead of scrollback.
+// Command mlpbench runs the sampler benchmark matrix — the production
+// sampler across worker counts, plus the shard axis — on a synthetic
+// world and writes the results as JSON, so the performance trajectory
+// is tracked as a checked-in artifact from PR to PR instead of
+// scrollback.
 //
 // Every cell also records a per-phase breakdown (edge / tweet / fold /
 // shard / boundary seconds per sweep, from Model.PhaseSeconds), and the
@@ -54,11 +54,15 @@ import (
 	"mlprofile/internal/synth"
 )
 
-// Name segments and field values of the retired PsiStore, TweetBatch
-// and Layout axes, held at the one setting left, so cell names keep
-// matching the rows of committed reports.
+// Name segments and field values of the retired edge-kernel, DistTable,
+// PsiStore, FusedDraw, TweetBatch and Layout axes, held at the one
+// setting left, so cell names keep matching the rows of committed
+// reports.
 const (
+	kernelCell = "pervar"
+	distCell   = "table"
 	psiCell    = "venue"
+	drawCell   = "fused"
 	batchCell  = "author"
 	layoutCell = "flat"
 )
@@ -167,42 +171,30 @@ func main() {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		workerCounts = append(workerCounts, n)
 	}
-	for _, kernel := range []struct {
-		name    string
-		blocked bool
-	}{{"pervar", false}, {"blocked", true}} {
-		for _, dist := range []core.DistTableMode{core.DistTableOff, core.DistTableOn} {
-			for _, draw := range []core.FusedDrawMode{core.FusedDrawOff, core.FusedDrawOn} {
-				for _, workers := range workerCounts {
-					cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-						BlockedSampler: kernel.blocked, DistTable: dist, FusedDraw: draw}
-					r := newResult(fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/batch=%s/layout=%s/workers=%d",
-						kernel.name, dist, psiCell, draw, batchCell, layoutCell, workers),
-						kernel.name, dist, draw)
-					r.Workers = workers
-					r.measure(c, cfg, *sweeps, *count, rels)
-					rep.Results = append(rep.Results, r)
-				}
-			}
-		}
+	cellPrefix := fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/batch=%s/layout=%s",
+		kernelCell, distCell, psiCell, drawCell, batchCell, layoutCell)
+	for _, workers := range workerCounts {
+		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers}
+		r := newResult(fmt.Sprintf("%s/workers=%d", cellPrefix, workers))
+		r.Workers = workers
+		r.measure(c, cfg, *sweeps, *count, rels)
+		rep.Results = append(rep.Results, r)
 	}
 
-	// Shard axis: the sharded pipeline at the default fast-path modes,
-	// across shard counts, plus the stale boundary protocol at the
-	// widest count. Shards=1 is by construction the single-chain sampler
-	// already measured above, so the axis starts at 2.
+	// Shard axis: the sharded pipeline across shard counts, plus the
+	// stale boundary protocol at the widest count. Shards=1 is by
+	// construction the single-chain sampler already measured above, so
+	// the axis starts at 2.
 	for _, sc := range []struct {
 		shards int
 		stale  bool
 	}{{2, false}, {4, false}, {4, true}} {
-		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: sc.shards, StaleBoundary: sc.stale,
-			DistTable: core.DistTableOn, FusedDraw: core.FusedDrawOn}
-		name := fmt.Sprintf("kernel=pervar/dist=table/psi=%s/draw=fused/batch=%s/layout=%s/shards=%d",
-			psiCell, batchCell, layoutCell, sc.shards)
+		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: sc.shards, StaleBoundary: sc.stale}
+		name := fmt.Sprintf("%s/shards=%d", cellPrefix, sc.shards)
 		if sc.stale {
 			name += "/stale"
 		}
-		r := newResult(name, "pervar", core.DistTableOn, core.FusedDrawOn)
+		r := newResult(name)
 		r.Shards = sc.shards
 		r.Stale = sc.stale
 		r.measure(c, cfg, *sweeps, *count, rels)
@@ -252,9 +244,9 @@ func fatal(v ...any) {
 }
 
 // newResult starts a cell's result with its name and mode fields.
-func newResult(name, kernel string, dist core.DistTableMode, draw core.FusedDrawMode) Result {
-	return Result{Name: name, Kernel: kernel, Dist: dist.String(), Psi: psiCell,
-		Draw: draw.String(), Batch: batchCell, Layout: layoutCell}
+func newResult(name string) Result {
+	return Result{Name: name, Kernel: kernelCell, Dist: distCell, Psi: psiCell,
+		Draw: drawCell, Batch: batchCell, Layout: layoutCell}
 }
 
 // measure times cfg into the result (see measureCell) and logs the cell.
@@ -390,7 +382,7 @@ func compareReports(path string, fresh *Report) {
 				}
 			}
 		}
-		if !ok && r.Draw == "fused" {
+		if !ok {
 			// Two axes back: a report from before the draw axis carries
 			// the cell under the still-shorter form. That run's draw
 			// pipeline was the then-default; the fresh default-config

@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"mlprofile/internal/core"
 	"mlprofile/internal/experiments"
 )
 
@@ -35,8 +34,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "user shards per fit (1 = single-chain sampler; >1 runs the sharded pipeline and ignores -workers)")
 		stale     = flag.Bool("staleboundary", false, "resample shard-boundary edges against stale per-sweep snapshots (shards > 1 only)")
 		noEM      = flag.Bool("no-em", false, "disable Gibbs-EM refinement")
-		dtable    = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
-		fdraw     = flag.Bool("fuseddraw", true, "draw with the fused prefix-sum pipeline (false = reference fill + Categorical path)")
 	)
 	flag.Parse()
 
@@ -51,8 +48,6 @@ func main() {
 		Shards:         *shards,
 		StaleBoundary:  *stale,
 		DisableGibbsEM: *noEM,
-		DistTable:      core.DistTableFor(*dtable),
-		FusedDraw:      core.FusedDrawFor(*fdraw),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -35,8 +35,6 @@ func main() {
 		topK    = flag.Int("top", 3, "profile locations per user to emit")
 		em      = flag.Bool("em", true, "refine (alpha, beta) with Gibbs-EM")
 		workers = flag.Int("workers", 0, "Gibbs sweep goroutines (0 = GOMAXPROCS; 1 = exact sequential sampler)")
-		dtable  = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
-		fdraw   = flag.Bool("fuseddraw", true, "draw with the fused prefix-sum pipeline (false = reference fill + Categorical path)")
 		snap    = flag.String("snapshot", "", "also write a fitted-model snapshot here for mlpserve (a directory when -shards > 1)")
 		shards  = flag.Int("shards", 1, "user shards for the sharded Gibbs pipeline (1 = single-chain exact sampler)")
 		stale   = flag.Bool("staleboundary", false, "resample boundary edges against stale per-sweep snapshots instead of the synced barrier (shards > 1 only)")
@@ -78,8 +76,6 @@ func main() {
 		Shards:        *shards,
 		StaleBoundary: *stale,
 		GibbsEM:       *em,
-		DistTable:     core.DistTableFor(*dtable),
-		FusedDraw:     core.FusedDrawFor(*fdraw),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -91,13 +87,9 @@ func main() {
 	if m.DistTableSparseBins() {
 		log.Printf("distance table: gazetteer exceeds the %d-city dense pair-matrix ceiling; serving d^alpha from sparse per-city bin rows (lazily built, budget-capped, same draws)", core.MaxDensePairCities)
 	}
-	batch := "none"
-	if m.TweetBatchActive() {
-		batch = "author"
-	}
 	st := m.TweetBatchStats()
-	fmt.Printf("hot path: batch=%s (batch fills=%d reuses=%d repairs=%d)\n",
-		batch, st.Built, st.Hits, st.Repairs)
+	fmt.Printf("hot path: batch=author (batch fills=%d reuses=%d repairs=%d)\n",
+		st.Built, st.Hits, st.Repairs)
 
 	if *snap != "" {
 		save := m.SaveSnapshot

@@ -16,11 +16,11 @@ import (
 // Each replaced an off path it was bit-identical to; the fingerprints
 // pinned here are the values both settings produced before the off
 // paths were retired. The sparse rows also keep the usual ≥99% coupling
-// to the exact path.
+// to the reference sampler.
 
 // TestBatchLayoutShardedIdentity pins the batched, interleaved sharded
-// fit, both boundary protocols, with the distance table on: the overlay
-// reads, barrier folds, and stale-op interplay must survive batching.
+// fit, both boundary protocols: the overlay reads, barrier folds, and
+// stale-op interplay must survive batching.
 // The pins are the goldenSharded values, which the unbatched, per-user
 // allocated fits also produced.
 func TestBatchLayoutShardedIdentity(t *testing.T) {
@@ -32,7 +32,6 @@ func TestBatchLayoutShardedIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("stale=%v", g.stale), func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.Shards = 4
-			cfg.DistTable = DistTableOn
 			cfg.StaleBoundary = g.stale
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
@@ -73,9 +72,6 @@ func TestTweetBatchBoundaryInvalidation(t *testing.T) {
 	}
 	st := batched.TweetBatchStats()
 	t.Logf("batch stats: %+v", st)
-	if !batched.TweetBatchActive() {
-		t.Fatal("batch layer did not activate under the default fused pipeline")
-	}
 	if st.Hits == 0 {
 		t.Error("no batch entry reuse on a long-run tweet world — batching is inert")
 	}
@@ -160,10 +156,10 @@ func TestSparseBinsFingerprintEquivalence(t *testing.T) {
 }
 
 // TestSparseBinsDistEquivalence is the large-gazetteer leg of the
-// distance-table equivalence claim: at L > MaxDensePairCities, a
-// dist=table fit (served entirely from sparse bin rows — no dense
-// matrix exists) must still shadow the exact fit to ≥99% top-1 and
-// refit α within quantization tolerance.
+// equivalence layer: at L > MaxDensePairCities, a production fit
+// (d^α served entirely from sparse bin rows — no dense matrix exists)
+// must still shadow the reference sampler's exact-d^α fit to ≥99%
+// top-1 and refit α within quantization tolerance.
 func TestSparseBinsDistEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
@@ -176,30 +172,21 @@ func TestSparseBinsDistEquivalence(t *testing.T) {
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
 
 	cfg := Config{Seed: 7, Iterations: 8, Workers: 1, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	cfg.DistTable = DistTableOff
-	exact, err := Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DistTable = DistTableOn
-	table, err := Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active, dense := table.DistTableStatus(); !active || dense {
+	ref, prod := fitReferencePair(t, c, cfg)
+	if active, dense := prod.DistTableStatus(); !active || dense {
 		t.Fatalf("DistTableStatus active=%v dense=%v, want sparse-active above the ceiling", active, dense)
 	}
-	if !table.DistTableSparseBins() {
+	if !prod.DistTableSparseBins() {
 		t.Fatal("fit above the ceiling did not engage the sparse bin rows")
 	}
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("L=%d top-1 agreement %.4f; alpha exact %.4f table %.4f", d.Corpus.Gaz.Len(), agree, aE, aT)
+	agree := top1Agreement(ref, prod, c)
+	aR, _ := ref.AlphaBeta()
+	aP, _ := prod.AlphaBeta()
+	t.Logf("L=%d top-1 agreement %.4f; alpha reference %.4f production %.4f", d.Corpus.Gaz.Len(), agree, aR, aP)
 	if agree < equivAgreementMin {
-		t.Errorf("top-1 agreement %.4f < %.2f — sparse-row chain decoupled from exact chain", agree, equivAgreementMin)
+		t.Errorf("top-1 agreement %.4f < %.2f — sparse-row chain decoupled from the reference", agree, equivAgreementMin)
 	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("alpha diverged: exact %.4f vs table %.4f (tol %.2f)", aE, aT, equivAlphaTol)
+	if math.Abs(aR-aP) > equivAlphaTol {
+		t.Errorf("alpha diverged: reference %.4f vs production %.4f (tol %.2f)", aR, aP, equivAlphaTol)
 	}
 }

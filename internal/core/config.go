@@ -22,84 +22,6 @@ import (
 	"runtime"
 )
 
-// DistTableMode selects how the sampler evaluates the relationship
-// factor d(x,y)^α (see DESIGN.md §7).
-type DistTableMode int
-
-const (
-	// DistTableAuto defers to the default, which is DistTableOn.
-	DistTableAuto DistTableMode = iota
-	// DistTableOn serves d^α from the quantized log-distance table and
-	// the per-edge static caches: the fast path, draw-for-draw aligned
-	// with the exact sampler and equivalent to it within quantization
-	// tolerance (the equivalence test layer locks this).
-	DistTableOn
-	// DistTableOff computes every d^α exactly (haversine + log + exp per
-	// candidate pair): the paper's literal sampler, kept as the reference
-	// the fast path is tested against.
-	DistTableOff
-)
-
-// DistTableFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func DistTableFor(on bool) DistTableMode {
-	if on {
-		return DistTableOn
-	}
-	return DistTableOff
-}
-
-// String names the mode for logs and bench labels.
-func (d DistTableMode) String() string {
-	switch d {
-	case DistTableOff:
-		return "exact"
-	default:
-		return "table"
-	}
-}
-
-// FusedDrawMode selects how the update kernels perform their categorical
-// draws (see DESIGN.md §9).
-type FusedDrawMode int
-
-const (
-	// FusedDrawAuto defers to the default, which is FusedDrawOn.
-	FusedDrawAuto FusedDrawMode = iota
-	// FusedDrawOn runs the fused single-pass draw pipeline: the weight
-	// loops emit running prefix sums and a single-uniform inversion
-	// (randutil.InvertCum) replaces Categorical's sum-and-scan. The fused
-	// path consumes randomness draw-for-draw identically to the reference
-	// and accumulates in the same order; its hoisted ψ̂ reciprocal and
-	// ϕ+γ mirror perturb tweet weights at the ulp scale (DESIGN.md §9),
-	// which flips no draw on the golden matrix (locked bit-identical
-	// there) and is equivalence-locked in general.
-	FusedDrawOn
-	// FusedDrawOff keeps the reference three-pass path: raw weight fill
-	// followed by randutil.Categorical, untouched from before the fused
-	// pipeline landed.
-	FusedDrawOff
-)
-
-// FusedDrawFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func FusedDrawFor(on bool) FusedDrawMode {
-	if on {
-		return FusedDrawOn
-	}
-	return FusedDrawOff
-}
-
-// String names the mode for logs and bench labels.
-func (f FusedDrawMode) String() string {
-	switch f {
-	case FusedDrawOff:
-		return "scan"
-	default:
-		return "fused"
-	}
-}
-
 // Variant selects which observation types the model consumes.
 type Variant int
 
@@ -161,8 +83,7 @@ type Config struct {
 	// order against the remote endpoint's sweep-start ϕ snapshot, with
 	// remote-side writes deferred to the barrier. Trades the synced
 	// boundary phase's extra barrier for staleness that is bounded by
-	// one sweep; equivalence-locked the way DistTable is.
-	// Ignored when Shards<=1; the blocked kernel always syncs.
+	// one sweep. Ignored when Shards<=1.
 	StaleBoundary bool
 
 	// RhoF and RhoT are the mixture priors for noisy following/tweeting
@@ -208,34 +129,6 @@ type Config struct {
 	// EMPairSample is the number of labeled user pairs sampled for the
 	// M-step's denominator histogram (default 200000).
 	EMPairSample int
-
-	// BlockedSampler replaces the paper's per-variable updates with a
-	// blocked joint draw of (µ, x, y) per edge — an ablation of the
-	// inference scheme, not of the model. With the distance table on the
-	// blocked kernel runs its pruned factored form (O(nI+nJ+nI·kJ) per
-	// edge instead of O(nI·nJ) pow calls), which is what makes it usable
-	// at the default MaxCandidates.
-	BlockedSampler bool
-
-	// DistTable selects the distance-amortization fast path (default
-	// DistTableOn): d^α served from a quantized log-distance table that
-	// is memoized per α-epoch, plus per-edge static weight caches for the
-	// blocked kernel. DistTableOff is the exact reference path. The two
-	// paths consume randomness identically and agree on predictions
-	// within quantization tolerance (equivalence_test.go).
-	DistTable DistTableMode
-
-	// FusedDraw selects the categorical draw pipeline (default
-	// FusedDrawOn): every kernel's weight loop writes running prefix sums
-	// and inverts one uniform over them in a single fused pass, versus
-	// the reference fill + randutil.Categorical (FusedDrawOff). The two
-	// paths accumulate in the same order and consume randomness
-	// identically; the fused tweet fills' hoisted reciprocal deviates by
-	// ≤2 ulp per weight, so fits are bit-identical on the golden matrix
-	// (determinism_test.go) and ≥99%-top-1/α-tolerance equivalent in
-	// general (equivalence_test.go). The fused tweet kernel is batched
-	// per author (tweetbatch.go); the reference tweet kernel is not.
-	FusedDraw FusedDrawMode
 
 	// DisableNoiseMixture forces every relationship location-based
 	// (ρ_f = ρ_t = 0) — the ablation of the paper's first mixture level.
@@ -292,12 +185,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EMPairSample == 0 {
 		c.EMPairSample = 200000
-	}
-	if c.DistTable == DistTableAuto {
-		c.DistTable = DistTableOn
-	}
-	if c.FusedDraw == FusedDrawAuto {
-		c.FusedDraw = FusedDrawOn
 	}
 	if c.DisableNoiseMixture {
 		c.RhoF, c.RhoT = 0, 0

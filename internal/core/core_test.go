@@ -436,34 +436,6 @@ func TestGibbsEMRefinesAlpha(t *testing.T) {
 	}
 }
 
-// TestBlockedSamplerAgrees: the blocked ablation should reach comparable
-// accuracy to the sequential sampler.
-func TestBlockedSamplerAgrees(t *testing.T) {
-	skipIfShort(t)
-	d := testWorld(t, 4)
-	seq, test := fitFold(t, d, Config{Seed: 19, Iterations: 10})
-	blk, _ := fitFold(t, d, Config{Seed: 19, Iterations: 10, BlockedSampler: true})
-	accSeq := accAt100(d, seq, test)
-	accBlk := accAt100(d, blk, test)
-	t.Logf("sequential=%.3f blocked=%.3f", accSeq, accBlk)
-	if math.Abs(accSeq-accBlk) > 0.12 {
-		t.Errorf("samplers disagree: seq=%.3f blocked=%.3f", accSeq, accBlk)
-	}
-	// Blocked sampler must preserve count invariants too.
-	for u := range d.Corpus.Users {
-		var sum float64
-		for _, v := range blk.phi[u] {
-			if v < 0 {
-				t.Fatalf("user %d: negative count under blocked sampler", u)
-			}
-			sum += v
-		}
-		if math.Abs(sum-blk.phiSum[u]) > 1e-6 {
-			t.Fatalf("user %d: blocked sampler corrupted counts", u)
-		}
-	}
-}
-
 // TestNoiseMixtureAblation: disabling the mixture forces every selector to
 // the location-based model.
 func TestNoiseMixtureAblation(t *testing.T) {

@@ -40,9 +40,7 @@ func fitFingerprint(m *Model) uint64 {
 // goldenCfg is the fixed configuration the sequential-determinism golden
 // was captured under (pre-parallelization sequential sampler, after the
 // labeledPairHistogram and initState fixes). It exercises the noise
-// mixture, Gibbs-EM, and both observation types. DistTable is pinned off:
-// this golden locks the paper's exact arithmetic, which the distance-table
-// refactor is required to leave bit-for-bit intact.
+// mixture, Gibbs-EM, and both observation types.
 func goldenCfg() Config {
 	return Config{
 		Seed:         7,
@@ -51,7 +49,6 @@ func goldenCfg() Config {
 		GibbsEM:      true,
 		EMInterval:   3,
 		EMPairSample: 20000,
-		DistTable:    DistTableOff,
 	}
 }
 
@@ -61,13 +58,15 @@ func goldenWorld(t testing.TB) *synth.Config {
 }
 
 // goldenFingerprint is the fingerprint of the pre-parallelization
-// sequential sampler on the golden world/config. Workers=1 must keep
-// reproducing it bit-for-bit: the parallel refactor is required to leave
-// the sequential path's RNG consumption and arithmetic untouched.
+// sequential sampler on the golden world/config, which evaluated every
+// d^α exactly. The reference sampler (reference_test.go) and the
+// production sampler at Workers=1 must both keep reproducing it
+// bit-for-bit: on this world neither the distance table's quantization
+// nor the reciprocal ψ̂ flips a single draw.
 const goldenFingerprint = uint64(0xdeef2b9070a15517)
 
-// TestWorkers1MatchesSequentialGolden locks the Workers=1 exact path to
-// the pre-change sequential sampler.
+// TestWorkers1MatchesSequentialGolden locks the Workers=1 production
+// sampler to the pre-change sequential sampler.
 func TestWorkers1MatchesSequentialGolden(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -84,120 +83,69 @@ func TestWorkers1MatchesSequentialGolden(t *testing.T) {
 	}
 }
 
-// goldenMatrix pins every Workers × DistTable execution mode to a frozen
-// fingerprint on the golden world/config, so any refactor that changes
-// RNG consumption, partitioning, or table arithmetic in any mode is
-// caught immediately. The Workers=1 exact entry is the original
-// pre-parallelization golden; the others were captured from the first
-// distance-table implementation (all four verified bit-stable across
-// runs by TestParallelDeterministicForFixedWorkers-style re-fits).
+// goldenMatrix pins the production sampler at both worker counts to a
+// frozen fingerprint on the golden world/config, so any refactor that
+// changes RNG consumption, partitioning, or table arithmetic is caught
+// immediately. The Workers=1 entry is the original pre-parallelization
+// golden; the Workers=4 entry was captured from the first
+// distance-table implementation.
 var goldenMatrix = []struct {
 	name        string
 	workers     int
-	dist        DistTableMode
 	fingerprint uint64
 }{
-	// The table entries equal their exact counterparts: on the golden
-	// world not a single draw flips under quantization, so the coupled
-	// chains remain bit-identical end to end. A diverging table
-	// fingerprint with an intact exact fingerprint means the fast path
-	// decoupled (RNG consumption or inversion order drifted).
-	{"workers=1/exact", 1, DistTableOff, goldenFingerprint},
-	{"workers=1/table", 1, DistTableOn, goldenFingerprint},
-	{"workers=4/exact", 4, DistTableOff, 0x41becc5c7b68d6e1},
-	{"workers=4/table", 4, DistTableOn, 0x41becc5c7b68d6e1},
+	{"workers=1/table", 1, goldenFingerprint},
+	{"workers=4/table", 4, 0x41becc5c7b68d6e1},
 }
 
-// goldenPsiCell is the cell-name segment of the retired PsiStore axis.
-// The venue-major store is the only count layout now; the segment stays
-// in the cell names so they match those of earlier runs.
-const goldenPsiCell = "psi=venue"
+// goldenPsiCell and goldenDrawCell are the cell-name segments of the
+// retired PsiStore and FusedDraw axes, kept so the production cells'
+// names match those of earlier runs. goldenReferenceCell names the
+// reference sampler's cell, which took over from the retired
+// exact-d^α, Categorical-draw cell of the same name.
+const (
+	goldenPsiCell       = "psi=venue"
+	goldenDrawCell      = "draw=fused"
+	goldenReferenceCell = "workers=1/exact/psi=venue/draw=scan"
+)
 
-// goldenDrawModes is the FusedDraw axis. draw=scan is the reference
-// three-pass fill + Categorical path, which must keep reproducing the
-// frozen fingerprints byte for byte. draw=fused accumulates the same
-// weight terms in the same order and consumes the RNG draw-for-draw
-// identically, so its draws match the scan path exactly except for the
-// tweet fills' hoisted reciprocal ψ̂ (≤2 ulp per weight, DESIGN.md §9)
-// — which, like the distance table's quantization, flips no draw on the
-// golden world, so every fused cell must reproduce the same
-// fingerprint. A fused divergence with an intact scan fingerprint means
-// the fused pipeline drifted (RNG consumption, accumulation order, or
-// an inversion-boundary bug), not that the golden is stale.
-var goldenDrawModes = []struct {
-	name string
-	draw FusedDrawMode
-}{
-	{"draw=scan", FusedDrawOff},
-	{"draw=fused", FusedDrawOn},
+// goldenCellName is a goldenMatrix entry's full cell name.
+func goldenCellName(name string) string {
+	return name + "/" + goldenPsiCell + "/" + goldenDrawCell
 }
 
+// TestGoldenFingerprintMatrix runs every goldenMatrix cell plus the
+// reference sampler, which must reproduce the Workers=1 golden: the
+// production chain and the oracle it is equivalence-tested against are
+// bit-identical here. A diverging production cell with an intact
+// reference cell means the fast path decoupled (RNG consumption or
+// inversion order drifted), not that the golden is stale.
 func TestGoldenFingerprintMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(t *testing.T, m *Model, err error, want uint64) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fitFingerprint(m)
+		t.Logf("fingerprint: %#x", got)
+		if got != want {
+			t.Errorf("fingerprint %#x differs from golden %#x", got, want)
+		}
+	}
+	t.Run(goldenReferenceCell, func(t *testing.T) {
+		m, err := fitReference(&d.Corpus, goldenCfg())
+		check(t, m, err, goldenFingerprint)
+	})
 	for _, g := range goldenMatrix {
-		for _, f := range goldenDrawModes {
-			name := g.name + "/" + goldenPsiCell + "/" + f.name
-			t.Run(name, func(t *testing.T) {
-				cfg := goldenCfg()
-				cfg.Workers = g.workers
-				cfg.DistTable = g.dist
-				cfg.FusedDraw = f.draw
-				m, err := Fit(&d.Corpus, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := fitFingerprint(m)
-				t.Logf("fingerprint: %#x", got)
-				if got != g.fingerprint {
-					t.Errorf("%s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
-				}
-			})
-		}
-	}
-}
-
-// TestGoldenMatrixBlocked pins the blocked kernel the same way: the
-// exact blocked kernel and the pruned factored table kernel each have a
-// frozen fingerprint, covering the factored kernel's decomposed sums and
-// hierarchical inversion.
-var goldenBlocked = []struct {
-	name        string
-	dist        DistTableMode
-	fingerprint uint64
-}{
-	{"blocked/exact", DistTableOff, 0x437267856b78509f},
-	{"blocked/table", DistTableOn, 0x437267856b78509f},
-}
-
-func TestGoldenMatrixBlocked(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exact blocked kernel is O(nI\u00b7nJ) pow calls per edge; run without -short")
-	}
-	d, err := synth.Generate(*goldenWorld(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range goldenBlocked {
-		for _, f := range goldenDrawModes {
-			name := g.name + "/" + goldenPsiCell + "/" + f.name
-			t.Run(name, func(t *testing.T) {
-				cfg := goldenCfg()
-				cfg.BlockedSampler = true
-				cfg.DistTable = g.dist
-				cfg.FusedDraw = f.draw
-				m, err := Fit(&d.Corpus, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := fitFingerprint(m)
-				t.Logf("fingerprint: %#x", got)
-				if got != g.fingerprint {
-					t.Errorf("%s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
-				}
-			})
-		}
+		t.Run(goldenCellName(g.name), func(t *testing.T) {
+			cfg := goldenCfg()
+			cfg.Workers = g.workers
+			m, err := Fit(&d.Corpus, cfg)
+			check(t, m, err, g.fingerprint)
+		})
 	}
 }

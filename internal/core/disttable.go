@@ -5,14 +5,13 @@ import (
 	"sync"
 
 	"mlprofile/internal/gazetteer"
-	"mlprofile/internal/randutil"
 )
 
 // This file implements the two-level distance-amortization subsystem
-// behind Config.DistTable (see DESIGN.md §7). The relationship factor
-// d(x,y)^α is the sampler's dominant cost: the exact path pays a
-// haversine, a log and an exp per candidate pair per edge per sweep. The
-// distTable pays them once per distinct quantity instead:
+// that serves the sampler's d^α (see DESIGN.md §7). The relationship
+// factor d(x,y)^α is the sampler's dominant cost: evaluated exactly it
+// pays a haversine, a log and an exp per candidate pair per edge per
+// sweep. The distTable pays them once per distinct quantity instead:
 //
 //   level 1 — powTab: logMiles is quantized into fixed-width bins, the
 //   distinct bins present among the gazetteer's city pairs are compacted
@@ -28,11 +27,13 @@ import (
 //   actually pair (see below and DESIGN.md §14), and single lookups by
 //   quantizing per lookup; both yield the same values.
 //
-// Everything the table serves is draw-for-draw aligned with the exact
-// path: the kernels consume the RNG in the same order with the same
-// number of draws, so a DistTable fit shadows the exact fit and can only
-// diverge where quantization flips an inversion draw — the property the
-// equivalence test layer (equivalence_test.go) locks down. That coupling
+// Everything the table serves is draw-for-draw aligned with exact
+// evaluation: the kernels consume the RNG in the same order with the
+// same number of draws as the reference sampler (reference_test.go),
+// which evaluates every d^α exactly, so a fit shadows the reference fit
+// and can only diverge where quantization flips an inversion draw — the
+// property the equivalence test layer (equivalence_test.go) locks down.
+// That coupling
 // is also why logBinWidth is far finer than the amortization needs: a
 // single flipped draw perturbs two users' counts, the next Gibbs-EM
 // refit amplifies the perturbed assignments into a shifted α, and the
@@ -45,13 +46,13 @@ const (
 	// logBinWidth is the width of one log-distance bin in nats. The bin
 	// representative is the bin center k·logBinWidth, so the worst-case
 	// relative error of a memoized d^α is |α|·logBinWidth/2 — ~3·10⁻¹⁰ at
-	// the paper's α=−0.55. The blocked kernel accumulates per-pair
-	// quantization error across ~nI·nJ inversion boundaries per draw
-	// (measured: ~0.3 flipped draws per fit at a 10⁻⁷ width), so the
-	// width is set two orders finer, pushing the expected flips per fit
-	// to ~10⁻³ and letting the DistTable chain shadow the exact chain end
-	// to end. Compacted bin ids make the fine width free: table size
-	// tracks distinct city-pair bins, not the bin count.
+	// the paper's α=−0.55. The width was set for the retired blocked
+	// kernel, which accumulated per-pair quantization error across
+	// ~nI·nJ inversion boundaries per draw (measured: ~0.3 flipped draws
+	// per fit at a 10⁻⁷ width); two orders finer pushes the expected
+	// flips per fit to ~10⁻³. The golden fingerprints pin this width.
+	// Compacted bin ids make the fine width free: table size tracks
+	// distinct city-pair bins, not the bin count.
 	//
 	// Bin 0 is pinned to the paper's 1-mile measurement floor: every pair
 	// with logMiles < logBinWidth/2 — in particular every sub-mile pair,
@@ -243,8 +244,8 @@ type distTable struct {
 	// Nil without the dense matrix.
 	powTab []float64
 
-	// epoch counts α updates; per-edge caches (and sparse pow rows)
-	// compare against it to invalidate their static values.
+	// epoch counts α updates; sparse pow rows compare against it to
+	// invalidate their values.
 	epoch uint32
 
 	// Sparse mode (L > maxDensePairCities):
@@ -356,8 +357,8 @@ func quantLog(lm float64) float64 {
 }
 
 // setAlpha starts a new α-epoch: powTab is recomputed for the new
-// exponent and the epoch counter advances, invalidating every per-edge
-// cache lazily. Must not run concurrently with a sweep.
+// exponent and the epoch counter advances, invalidating every sparse
+// pow row lazily. Must not run concurrently with a sweep.
 func (t *distTable) setAlpha(alpha float64) {
 	t.alpha = alpha
 	if t.pb != nil && t.pb.pairBin != nil {
@@ -394,109 +395,14 @@ func (t *distTable) row(a gazetteer.CityID) []uint32 {
 	return t.pb.pairBin[int(a)*t.L : int(a)*t.L+t.L]
 }
 
-// pow returns d(a,b)^α as the sampler sees it: memoized and quantized
-// when the distance table is on, exact otherwise.
+// pow returns d(a,b)^α as the readouts see it: from the distance table
+// the sweeps used. The exact evaluation serves only a model loaded from
+// a snapshot written by the retired exact-d^α path (DistTable slot 2,
+// see snapshot.go), which builds no table so its explanations stay what
+// they were.
 func (m *Model) pow(a, b gazetteer.CityID) float64 {
 	if m.dt != nil {
 		return m.dt.pow(a, b)
 	}
 	return m.dc.powDist(a, b, m.alpha)
-}
-
-// edgeCache is the per-edge static piece of the pruned blocked kernel's
-// factored pair weights (see updateEdgeBlockedTable). For edge (I, J)
-// with candidate sets candI/candJ it holds, per α-epoch,
-//
-//	gRow[i] = Σ_j γ_J[j] · d(candI[i], candJ[j])^α
-//
-// — the prior-side row sums of the pair-weight matrix. The dynamic part
-// of a row sum touches only candidates with non-zero profile counts, so
-// the per-sweep setup is O(nI + nJ + nI·kJ) with kJ = |supp ϕ_J| instead
-// of the exact kernel's O(nI·nJ) pow calls.
-//
-// alias is a Walker table over the fully static W0 pair distribution
-// γ_I[i]·γ_J[j]·d^α, built on demand (drawStaticPair) for the same
-// α-epoch. It yields O(1) pair draws but costs two uniforms per draw
-// where the exact kernel spends one, so the coupled sampler cannot use
-// it (see DESIGN.md §7); it serves uncoupled callers and the kernel
-// micro-benchmarks as the draw-cost floor.
-type edgeCache struct {
-	epoch uint32
-	gRow  []float64
-
-	aliasEpoch uint32
-	alias      *randutil.Alias
-}
-
-// edgeCacheFor returns edge s's cache, rebuilding its static row sums if
-// the α-epoch moved. Within one sweep every edge is visited by exactly
-// one worker, and sweeps are separated by barriers, so the lazy rebuild
-// needs no synchronization.
-func (m *Model) edgeCacheFor(s int, candI, candJ []gazetteer.CityID, gammaJ []float64) *edgeCache {
-	ec := &m.etab[s]
-	if ec.epoch == m.dt.epoch {
-		return ec
-	}
-	if ec.gRow == nil {
-		ec.gRow = make([]float64, len(candI))
-	}
-	pt := m.dt.powTab
-	for i, ci := range candI {
-		var sum float64
-		if row := m.dt.row(ci); row != nil {
-			for j, cj := range candJ {
-				sum += gammaJ[j] * pt[row[cj]]
-			}
-		} else {
-			prow := m.dt.powRow(ci)
-			for j, cj := range candJ {
-				sum += gammaJ[j] * prow[cj]
-			}
-		}
-		ec.gRow[i] = sum
-	}
-	ec.epoch = m.dt.epoch
-	return ec
-}
-
-// drawStaticPair draws a candidate pair (i, j) from the static W0
-// distribution γ_I[i]·γ_J[j]·d(candI[i], candJ[j])^α in O(1) via the
-// edge's Walker alias table, building the table on first use per
-// α-epoch. ok is false when the static weights are degenerate (possible
-// only if α or γ went NaN — the alias table cannot be built, and no
-// draw is made). Not used by the coupled sampler (its two-uniform draw
-// would desynchronize the chain from the exact path); exposed for
-// uncoupled consumers and the draw-cost micro-benchmarks.
-func (m *Model) drawStaticPair(ctx *sweepCtx, s int) (i, j int, ok bool) {
-	e := m.corpus.Edges[s]
-	candI := m.cands.cand[e.From]
-	candJ := m.cands.cand[e.To]
-	ec := &m.etab[s]
-	if ec.alias == nil || ec.aliasEpoch != m.dt.epoch {
-		gI := m.cands.gamma[e.From]
-		gJ := m.cands.gamma[e.To]
-		nJ := len(candJ)
-		w := make([]float64, len(candI)*nJ)
-		for i, ci := range candI {
-			row := m.dt.row(ci)
-			prow := m.dt.powRow(ci)
-			for j, cj := range candJ {
-				var p float64
-				if row != nil {
-					p = m.dt.powTab[row[cj]]
-				} else {
-					p = prow[cj]
-				}
-				w[i*nJ+j] = gI[i] * gJ[j] * p
-			}
-		}
-		a, err := randutil.NewAlias(w)
-		if err != nil {
-			return 0, 0, false
-		}
-		ec.alias = a
-		ec.aliasEpoch = m.dt.epoch
-	}
-	p := ec.alias.Draw(ctx.rng)
-	return p / len(candJ), p % len(candJ), true
 }

@@ -206,31 +206,24 @@ func TestPairBinCacheEviction(t *testing.T) {
 	}
 }
 
-// TestDistTableAlphaEpochInvalidation: setAlpha must advance the epoch,
-// rewrite powTab, and make per-edge caches rebuild their static sums.
+// TestDistTableAlphaEpochInvalidation: setAlpha must advance the epoch
+// and rewrite powTab, so the memoized pow matches a fresh exp at the
+// new α. (Sparse pow rows refresh on the epoch too; see
+// TestSparseBinsPowRowMatchesFallback.)
 func TestDistTableAlphaEpochInvalidation(t *testing.T) {
 	d, err := synth.Generate(synth.Config{Seed: 13, NumUsers: 120, NumLocations: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 2, BlockedSampler: true})
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.dt == nil || m.etab == nil {
-		t.Fatal("blocked fit with default config should build the table and edge caches")
+	if m.dt == nil {
+		t.Fatal("default fit should build the distance table")
 	}
-
-	s := 0
-	e := m.corpus.Edges[s]
-	candI := m.cands.cand[e.From]
-	candJ := m.cands.cand[e.To]
-	gammaJ := m.cands.gamma[e.To]
-	ec := m.edgeCacheFor(s, candI, candJ, gammaJ)
-	if ec.epoch != m.dt.epoch {
-		t.Fatal("edge cache not stamped with current epoch")
-	}
-	gRow0 := ec.gRow[0]
+	a, b := gazetteer.CityID(0), gazetteer.CityID(d.Corpus.Gaz.Len()-1)
+	pow0 := m.dt.pow(a, b)
 
 	epoch := m.dt.epoch
 	alpha, _ := m.AlphaBeta()
@@ -238,115 +231,13 @@ func TestDistTableAlphaEpochInvalidation(t *testing.T) {
 	if m.dt.epoch != epoch+1 {
 		t.Fatalf("epoch %d after setAlpha, want %d", m.dt.epoch, epoch+1)
 	}
-	ec2 := m.edgeCacheFor(s, candI, candJ, gammaJ)
-	if ec2.epoch != m.dt.epoch {
-		t.Fatal("edge cache not rebuilt for new epoch")
-	}
-	if ec2.gRow[0] == gRow0 {
-		t.Errorf("static row sum unchanged (%v) across an α-epoch that doubled α", gRow0)
-	}
-
 	// The memoized pow must match a fresh exp at the new α.
-	a, b := candI[0], candJ[0]
 	want := math.Exp(m.dt.alpha * quantLog(m.dc.logMiles(a, b)))
-	if got := m.dt.pow(a, b); got != want {
+	got := m.dt.pow(a, b)
+	if got != want {
 		t.Errorf("pow after refit %v, want %v", got, want)
 	}
-}
-
-// TestDrawStaticPairAlias: the Walker table over the static W0 branch
-// must draw pairs with the static prior-pair distribution (checked on
-// the mode pair's empirical frequency) and in O(1) per draw.
-func TestDrawStaticPairAlias(t *testing.T) {
-	d, err := synth.Generate(synth.Config{Seed: 17, NumUsers: 120, NumLocations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 1, BlockedSampler: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 0
-	e := m.corpus.Edges[s]
-	candI, candJ := m.cands.cand[e.From], m.cands.cand[e.To]
-	gI, gJ := m.cands.gamma[e.From], m.cands.gamma[e.To]
-
-	// Static W0 weights, ground truth.
-	var total, best float64
-	bi, bj := 0, 0
-	for i := range candI {
-		for j := range candJ {
-			w := gI[i] * gJ[j] * m.dt.pow(candI[i], candJ[j])
-			total += w
-			if w > best {
-				best, bi, bj = w, i, j
-			}
-		}
-	}
-
-	const draws = 20000
-	hits := 0
-	for n := 0; n < draws; n++ {
-		i, j, ok := m.drawStaticPair(m.seq, s)
-		if !ok {
-			t.Fatal("alias build failed on non-degenerate weights")
-		}
-		if i < 0 || i >= len(candI) || j < 0 || j >= len(candJ) {
-			t.Fatalf("draw out of range: (%d, %d)", i, j)
-		}
-		if i == bi && j == bj {
-			hits++
-		}
-	}
-	got := float64(hits) / draws
-	want := best / total
-	t.Logf("mode pair frequency: empirical %.4f vs static weight %.4f", got, want)
-	if math.Abs(got-want) > 0.1*want+0.01 {
-		t.Errorf("alias draw frequency %.4f far from static weight %.4f", got, want)
-	}
-}
-
-// BenchmarkStaticPairDraw measures the O(1) alias draw of the static W0
-// branch — the draw-cost floor the coupled kernel's cumulative-row
-// inversion is compared against in DESIGN.md §7.
-func BenchmarkStaticPairDraw(b *testing.B) {
-	d, err := synth.Generate(synth.Config{Seed: 17, NumUsers: 300, NumLocations: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 1, BlockedSampler: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink int
-	for n := 0; n < b.N; n++ {
-		i, j, ok := m.drawStaticPair(m.seq, n%len(m.corpus.Edges))
-		if !ok {
-			b.Fatal("alias build failed")
-		}
-		sink += i + j
-	}
-	_ = sink
-}
-
-// BenchmarkEdgeCacheRebuild measures one α-epoch rebuild of a per-edge
-// static row-sum cache (the amortized cost behind Gibbs-EM refits).
-func BenchmarkEdgeCacheRebuild(b *testing.B) {
-	d, err := synth.Generate(synth.Config{Seed: 17, NumUsers: 300, NumLocations: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 1, BlockedSampler: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := m.corpus.Edges[0]
-	candI, candJ := m.cands.cand[e.From], m.cands.cand[e.To]
-	gammaJ := m.cands.gamma[e.To]
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		m.etab[0].epoch = m.dt.epoch - 1 // force rebuild
-		m.edgeCacheFor(0, candI, candJ, gammaJ)
+	if got == pow0 {
+		t.Errorf("pow(%d, %d) unchanged (%v) across an α-epoch that doubled α", a, b, pow0)
 	}
 }

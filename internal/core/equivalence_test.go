@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -9,25 +8,30 @@ import (
 	"mlprofile/internal/synth"
 )
 
-// The equivalence layer: fixed-seed fits with the distance table on vs
-// off must shadow each other. Both paths consume randomness draw-for-draw
-// identically, so the chains stay coupled and can only diverge where
-// quantization (|α|·logBinWidth/2 relative error on a pair weight) flips
-// an inversion draw. These tests lock the observable consequences:
-// near-total top-1 agreement and an α refit within quantization
-// tolerance, across structurally different worlds and both edge kernels.
+// The equivalence layer: fixed-seed fits of the production sampler and
+// of the reference sampler (reference_test.go) must shadow each other.
+// Both consume randomness draw-for-draw identically, so the chains stay
+// coupled and can only diverge where the production arithmetic — the
+// quantized d^α (|α|·logBinWidth/2 relative error on a pair weight) and
+// the reciprocal ψ̂ (≤2 ulp per tweet weight) — flips an inversion draw.
+// These tests lock the observable consequences: near-total top-1
+// agreement, an α refit within quantization tolerance, and matching
+// noise estimates, across structurally different worlds.
 
 // equivAgreementMin is the required fraction of users whose predicted
-// top-1 city is identical under the two paths. Independent chains on the
-// same worlds agree only ~94–95% (measured); the coupled fast path must
-// do much better — treat a drop below 99% as a decoupling regression
-// (RNG consumption or inversion order drifted), not as noise.
+// top-1 city is identical under the two samplers. Independent chains on
+// the same worlds agree only ~94–95% (measured); the coupled production
+// sampler must do much better — treat a drop below 99% as a decoupling
+// regression (RNG consumption or inversion order drifted), not as noise.
 const equivAgreementMin = 0.99
 
-// equivAlphaTol bounds |α_table − α_exact| after Gibbs-EM. The refit
-// measures exact distances on both paths; the tolerance covers the
+// equivAlphaTol bounds |α_production − α_reference| after Gibbs-EM. The
+// refit measures exact distances in both; the tolerance covers the
 // assignment wiggle the weight quantization can induce.
 const equivAlphaTol = 0.05
+
+// equivNoiseTol bounds the difference of the edge and tweet noise rates.
+const equivNoiseTol = 0.02
 
 // equivWorlds are the three synthetic regimes the equivalence claim is
 // tested on: a sparse following graph (little evidence per user, long
@@ -47,212 +51,93 @@ func equivWorlds() []struct {
 	}
 }
 
-// fitEquivPair runs the same fold/seed fit with the table off and on and
-// returns both models.
-func fitEquivPair(t *testing.T, wcfg synth.Config, cfg Config) (exact, table *Model, c *dataset.Corpus) {
+// equivCorpus generates the world and hides the labels of one CV fold.
+func equivCorpus(t *testing.T, wcfg synth.Config) *dataset.Corpus {
 	t.Helper()
 	d, err := synth.Generate(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
-	c = d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
+	return d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
+}
 
-	cfg.DistTable = DistTableOff
-	exact, err = Fit(c, cfg)
+// fitReferencePair fits c with the reference sampler and with the
+// production sampler under the same cfg and returns both models.
+func fitReferencePair(t *testing.T, c *dataset.Corpus, cfg Config) (ref, prod *Model) {
+	t.Helper()
+	ref, err := fitReference(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DistTable = DistTableOn
-	table, err = Fit(c, cfg)
+	prod, err = Fit(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exact, table, c
+	return ref, prod
 }
 
 // top1Agreement is the fraction of users predicting the same top-1 city.
-func top1Agreement(exact, table *Model, c *dataset.Corpus) float64 {
+func top1Agreement(a, b *Model, c *dataset.Corpus) float64 {
 	agree := 0
 	for u := range c.Users {
-		if exact.Home(dataset.UserID(u)) == table.Home(dataset.UserID(u)) {
+		if a.Home(dataset.UserID(u)) == b.Home(dataset.UserID(u)) {
 			agree++
 		}
 	}
 	return float64(agree) / float64(len(c.Users))
 }
 
-// TestDistTableEquivalence is the headline property test: on every world
-// and for both edge kernels, table-on vs table-off fits with the same
-// seed agree on ≥99% of top-1 predictions, and Gibbs-EM refits α to
-// within quantization tolerance.
+// requireEquivalent asserts the coupled-chain bounds between a
+// reference fit and a production fit.
+func requireEquivalent(t *testing.T, ref, prod *Model, c *dataset.Corpus) {
+	t.Helper()
+	agree := top1Agreement(ref, prod, c)
+	aR, bR := ref.AlphaBeta()
+	aP, bP := prod.AlphaBeta()
+	enR, tnR := ref.NoiseStats()
+	enP, tnP := prod.NoiseStats()
+	t.Logf("top-1 agreement %.4f; alpha reference %.4f production %.4f; beta reference %.5f production %.5f",
+		agree, aR, aP, bR, bP)
+	if agree < equivAgreementMin {
+		t.Errorf("top-1 agreement %.4f < %.2f — production chain decoupled from the reference", agree, equivAgreementMin)
+	}
+	if math.Abs(aR-aP) > equivAlphaTol {
+		t.Errorf("alpha diverged: reference %.4f vs production %.4f (tol %.2f)", aR, aP, equivAlphaTol)
+	}
+	if math.Abs(enR-enP) > equivNoiseTol || math.Abs(tnR-tnP) > equivNoiseTol {
+		t.Errorf("noise estimates diverged: reference (%.4f, %.4f) vs production (%.4f, %.4f)", enR, tnR, enP, tnP)
+	}
+}
+
+// TestDistTableEquivalence is the headline property test: on every
+// world, production vs reference fits with the same seed at Workers=1
+// agree on ≥99% of top-1 predictions, refit α within quantization
+// tolerance, and estimate the same noise rates. The test and its
+// per-variable/<world> cells keep the names they had when the exact
+// side was the distance table's off path, so results line up with
+// earlier runs.
 func TestDistTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
 	}
-	for _, kernel := range []struct {
-		name    string
-		blocked bool
-	}{{"per-variable", false}, {"blocked", true}} {
-		for _, w := range equivWorlds() {
-			t.Run(fmt.Sprintf("%s/%s", kernel.name, w.name), func(t *testing.T) {
-				cfg := Config{
-					Seed:           7,
-					Iterations:     12,
-					Workers:        1,
-					GibbsEM:        true,
-					EMInterval:     4,
-					EMPairSample:   30000,
-					BlockedSampler: kernel.blocked,
-				}
-				exact, table, c := fitEquivPair(t, w.cfg, cfg)
-
-				agree := top1Agreement(exact, table, c)
-				aE, bE := exact.AlphaBeta()
-				aT, bT := table.AlphaBeta()
-				t.Logf("top-1 agreement %.4f; alpha exact %.4f table %.4f; beta exact %.5f table %.5f",
-					agree, aE, aT, bE, bT)
-				if agree < equivAgreementMin {
-					t.Errorf("top-1 agreement %.4f < %.2f — table chain decoupled from exact chain", agree, equivAgreementMin)
-				}
-				if math.Abs(aE-aT) > equivAlphaTol {
-					t.Errorf("alpha diverged: exact %.4f vs table %.4f (tol %.2f)", aE, aT, equivAlphaTol)
-				}
-				enE, tnE := exact.NoiseStats()
-				enT, tnT := table.NoiseStats()
-				if math.Abs(enE-enT) > 0.02 || math.Abs(tnE-tnT) > 0.02 {
-					t.Errorf("noise estimates diverged: exact (%.4f, %.4f) vs table (%.4f, %.4f)", enE, tnE, enT, tnT)
-				}
-			})
-		}
+	for _, w := range equivWorlds() {
+		t.Run("per-variable/"+w.name, func(t *testing.T) {
+			cfg := Config{Seed: 7, Iterations: 12, Workers: 1, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
+			c := equivCorpus(t, w.cfg)
+			ref, prod := fitReferencePair(t, c, cfg)
+			requireEquivalent(t, ref, prod, c)
+		})
 	}
 }
 
-// TestDistTableEquivalenceParallel repeats the mixed-world check under
-// the partitioned parallel sweep: the coupling argument is per worker
-// stream, so it must hold for Workers>1 exactly as for the sequential
-// chain.
-func TestDistTableEquivalenceParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence property tests run full fits; skipped in -short")
-	}
-	w := equivWorlds()[2]
-	cfg := Config{Seed: 7, Iterations: 12, Workers: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	exact, table, c := fitEquivPair(t, w.cfg, cfg)
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("workers=4 top-1 agreement %.4f; alpha exact %.4f table %.4f", agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("workers=4 top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("workers=4 alpha diverged: exact %.4f vs table %.4f", aE, aT)
-	}
-}
-
-// fitFusedPair runs the same fold/seed fit with the fused draw pipeline
-// off and on and returns both models — the FusedDraw analogue of
-// fitEquivPair, with the distance table at its default in both fits.
-func fitFusedPair(t *testing.T, wcfg synth.Config, cfg Config) (scan, fused *Model, c *dataset.Corpus) {
-	t.Helper()
-	d, err := synth.Generate(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
-	c = d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
-
-	cfg.FusedDraw = FusedDrawOff
-	scan, err = Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FusedDraw = FusedDrawOn
-	fused, err = Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scan, fused, c
-}
-
-// TestFusedDrawEquivalence is the FusedDraw leg of the equivalence
-// layer: fused-on vs fused-off fits with the same seed on every world
-// and both edge kernels. The fused pipeline consumes randomness
-// draw-for-draw identically and accumulates in the same order; its only
-// arithmetic deviation is the tweet fills' reciprocal ψ̂ (≤2 ulp per
-// weight), far inside the distance table's quantization tolerance — so
-// the same ≥99% top-1 and α bounds apply, and in practice the chains
-// stay bit-identical (the golden matrix pins that on the golden world).
-func TestFusedDrawEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence property tests run full fits; skipped in -short")
-	}
-	for _, kernel := range []struct {
-		name    string
-		blocked bool
-	}{{"per-variable", false}, {"blocked", true}} {
-		for _, w := range equivWorlds() {
-			t.Run(fmt.Sprintf("%s/%s", kernel.name, w.name), func(t *testing.T) {
-				cfg := Config{
-					Seed:           7,
-					Iterations:     12,
-					Workers:        1,
-					GibbsEM:        true,
-					EMInterval:     4,
-					EMPairSample:   30000,
-					BlockedSampler: kernel.blocked,
-				}
-				scan, fused, c := fitFusedPair(t, w.cfg, cfg)
-
-				agree := top1Agreement(scan, fused, c)
-				aS, _ := scan.AlphaBeta()
-				aF, _ := fused.AlphaBeta()
-				t.Logf("top-1 agreement %.4f; alpha scan %.4f fused %.4f", agree, aS, aF)
-				if agree < equivAgreementMin {
-					t.Errorf("top-1 agreement %.4f < %.2f — fused chain decoupled from scan chain", agree, equivAgreementMin)
-				}
-				if math.Abs(aS-aF) > equivAlphaTol {
-					t.Errorf("alpha diverged: scan %.4f vs fused %.4f (tol %.2f)", aS, aF, equivAlphaTol)
-				}
-			})
-		}
-	}
-}
-
-// TestFusedDrawEquivalenceSmoke is the -short leg of the FusedDraw
-// equivalence: one small mixed world, per-variable kernel, plus a
-// Workers=4 repeat so the per-worker fused streams are covered.
-func TestFusedDrawEquivalenceSmoke(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := Config{Seed: 7, Iterations: 8, Workers: workers, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-		scan, fused, c := fitFusedPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-		agree := top1Agreement(scan, fused, c)
-		aS, _ := scan.AlphaBeta()
-		aF, _ := fused.AlphaBeta()
-		t.Logf("workers=%d smoke top-1 agreement %.4f; alpha scan %.4f fused %.4f", workers, agree, aS, aF)
-		if agree < equivAgreementMin {
-			t.Errorf("workers=%d smoke top-1 agreement %.4f < %.2f", workers, agree, equivAgreementMin)
-		}
-		if math.Abs(aS-aF) > equivAlphaTol {
-			t.Errorf("workers=%d smoke alpha diverged: scan %.4f vs fused %.4f", workers, aS, aF)
-		}
-	}
-}
-
-// TestDistTableEquivalenceSmoke is the -short leg: one small mixed world,
-// per-variable kernel, same assertions.
+// TestDistTableEquivalenceSmoke is the -short leg: one small mixed
+// world, same assertions, plus the collapsed-count invariants of the
+// reference fit itself.
 func TestDistTableEquivalenceSmoke(t *testing.T) {
 	cfg := Config{Seed: 7, Iterations: 8, Workers: 1, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-	exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("smoke top-1 agreement %.4f; alpha exact %.4f table %.4f", agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("smoke top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("smoke alpha diverged: exact %.4f vs table %.4f", aE, aT)
-	}
+	c := equivCorpus(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100})
+	ref, prod := fitReferencePair(t, c, cfg)
+	requireEquivalent(t, ref, prod, c)
+	checkVenueInvariants(t, ref)
 }

@@ -19,19 +19,13 @@ type Model struct {
 	dc     *distCalc
 	rng    *rand.Rand
 
-	// Distance-amortization subsystem (nil when Config.DistTable is off):
-	// the quantized log-distance table and the per-edge static weight
-	// caches of the pruned blocked kernel (see disttable.go).
-	dt   *distTable
-	etab []edgeCache
+	// dt is the quantized log-distance table serving d^α (see
+	// disttable.go). It is built for every fit that consumes edges; it
+	// is nil only for TweetingOnly models and for models loaded from a
+	// snapshot written by the retired exact-d^α path (Model.pow).
+	dt *distTable
 
 	useF, useT bool
-
-	// fused selects the single-pass prefix-sum draw pipeline in every
-	// update kernel (Config.FusedDraw, DESIGN.md §9), including the
-	// per-author batched tweet kernel (DESIGN.md §14); false runs the
-	// reference fill + randutil.Categorical path.
-	fused bool
 
 	// phaseSec accumulates wall-clock seconds per sweep phase (edge /
 	// tweet / fold / …), written only by the sweep coordinator between
@@ -44,15 +38,15 @@ type Model struct {
 	// Collapsed profile counts ϕ_i (per user, indexed like cands.cand[u]).
 	phi    [][]float64
 	phiSum []float64
-	// pg (non-nil iff fused) mirrors ϕ+γ per candidate — the θ̂ numerator
-	// every weight loop otherwise re-adds per candidate. It is built from
-	// fresh sums after initState's assignments and then shifted ±1 in
-	// lockstep with every ϕ mutation. A ±1 shift of a float can round at
-	// a power-of-two crossing, so pg may drift from the fresh sum by an
-	// ulp-scale random walk — far inside the equivalence tolerance, and
-	// on the golden world it flips no draw (the fingerprint matrix stays
-	// equal across the knob). The exact µ/ν factors (theta) keep using
-	// fresh ϕ+γ.
+	// pg mirrors ϕ+γ per candidate — the θ̂ numerator every weight loop
+	// would otherwise re-add per candidate. It is built from fresh sums
+	// after initState's assignments and then shifted ±1 in lockstep with
+	// every ϕ mutation. A ±1 shift of a float can round at a
+	// power-of-two crossing, so pg may drift from the fresh sum by an
+	// ulp-scale random walk — far inside the equivalence tolerance
+	// against the reference sampler (reference_test.go), and on the
+	// golden world it flips no draw. The exact µ/ν factors (theta) keep
+	// using fresh ϕ+γ.
 	pg [][]float64
 
 	// Collapsed venue counts φ_{l,v}, accumulating location-based tweets
@@ -64,14 +58,13 @@ type Model struct {
 	// deltaTotal caches ψ̂'s smoothing denominator addend δ|V| (the same
 	// product psiFrom would otherwise recompute per candidate).
 	deltaTotal float64
-	// venueRSum (non-nil iff fused) holds 1/(venueSum[l]+δ|V|), refreshed
-	// on every count mutation: the fused tweet fills multiply by it
-	// instead of dividing per candidate — one division per ±1 shift in
-	// place of ≤MaxCandidates divisions per draw. The product
-	// (cnt+δ)·rsum differs from the reference quotient by ≤2 ulp; on the
-	// golden world no draw flips (the fingerprint matrix stays equal
-	// across the knob) and the general case is equivalence-locked, the
-	// same structure as the distance table's quantization.
+	// venueRSum holds 1/(venueSum[l]+δ|V|), refreshed on every count
+	// mutation: the tweet fills multiply by it instead of dividing per
+	// candidate — one division per ±1 shift in place of ≤MaxCandidates
+	// divisions per draw. The product (cnt+δ)·rsum differs from the
+	// reference sampler's quotient by ≤2 ulp; on the golden world no
+	// draw flips and the general case is equivalence-locked, the same
+	// structure as the distance table's quantization.
 	venueRSum []float64
 
 	// Edge latent state: selector µ_s and candidate indexes of x_s, y_s.
@@ -112,6 +105,14 @@ type Model struct {
 
 // Fit runs MLP inference over the corpus and returns the fitted model.
 func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
+	return fit(c, cfg, (*Model).sweep)
+}
+
+// fit is Fit with the Gibbs sweep passed in. Initialization, the
+// Gibbs-EM M-step and the readout are shared by every caller; the
+// test-only reference sampler (reference_test.go) replaces the sweep
+// alone.
+func fit(c *dataset.Corpus, cfg Config, sweep func(*Model)) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -126,7 +127,6 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		useF:   cfg.Variant != TweetingOnly,
 		useT:   cfg.Variant != FollowingOnly,
-		fused:  cfg.FusedDraw != FusedDrawOff,
 		alpha:  cfg.Alpha,
 		beta:   cfg.Beta,
 	}
@@ -151,12 +151,9 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 
 	// The distance table is built after the initial (α, β) fit so its
 	// first α-epoch memoizes the exponent the sweeps will actually use.
-	if m.useF && cfg.DistTable != DistTableOff {
+	if m.useF {
 		m.dt = distTableFor(m.dc, c.Gaz)
 		m.dt.setAlpha(m.alpha)
-		if cfg.BlockedSampler {
-			m.etab = make([]edgeCache, len(c.Edges))
-		}
 	}
 
 	m.cands = buildCandidates(c, cfg, m.useF, m.useT)
@@ -164,7 +161,7 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		m.curIter = iter
-		m.sweep()
+		sweep(m)
 		if cfg.GibbsEM && m.useF && iter%cfg.EMInterval == 0 {
 			m.refitPowerLaw()
 		}
@@ -194,12 +191,10 @@ func (m *Model) initState() {
 	L := c.Gaz.Len()
 	m.ps = newPsiStore(m.numVenues)
 	m.venueSum = make([]float64, L)
-	if m.fused && m.useT {
-		m.venueRSum = make([]float64, L)
-		inv0 := 1 / m.deltaTotal
-		for l := range m.venueRSum {
-			m.venueRSum[l] = inv0
-		}
+	m.venueRSum = make([]float64, L)
+	inv0 := 1 / m.deltaTotal
+	for l := range m.venueRSum {
+		m.venueRSum[l] = inv0
 	}
 
 	m.initRandomModels()
@@ -241,13 +236,11 @@ func (m *Model) initState() {
 
 	// The ϕ+γ mirror starts from fresh sums over the initial counts;
 	// the kernels shift it alongside every later ϕ mutation.
-	if m.fused {
-		m.pg = candSlabRows(m.cands.cand)
-		for u, row := range m.pg {
-			phi, gamma := m.phi[u], m.cands.gamma[u]
-			for c := range row {
-				row[c] = phi[c] + gamma[c]
-			}
+	m.pg = candSlabRows(m.cands.cand)
+	for u, row := range m.pg {
+		phi, gamma := m.phi[u], m.cands.gamma[u]
+		for c := range row {
+			row[c] = phi[c] + gamma[c]
 		}
 	}
 }
@@ -294,17 +287,13 @@ func (m *Model) initRandomModels() {
 func (m *Model) addVenue(l gazetteer.CityID, v gazetteer.VenueID) {
 	m.ps.add(v, l, 1)
 	m.venueSum[l]++
-	if m.venueRSum != nil {
-		m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-	}
+	m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
 }
 
 func (m *Model) removeVenue(l gazetteer.CityID, v gazetteer.VenueID) {
 	m.ps.add(v, l, -1)
 	m.venueSum[l]--
-	if m.venueRSum != nil {
-		m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-	}
+	m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
 }
 
 // psi returns the collapsed venue probability ψ̂_l(v) (Eq. 6's second

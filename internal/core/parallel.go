@@ -12,19 +12,18 @@ import (
 )
 
 // sweepCtx carries one sampler stream's mutable state: its RNG and the
-// draw arena the update kernels write into, so the hot path performs no
-// per-relationship allocations. The sequential sampler owns a single ctx
-// wrapping the model RNG; Workers>1 gives every worker its own ctx with
-// an independent stream-seeded RNG (see DESIGN.md §6).
+// prefix-sum buffer the update kernels draw from, so the hot path
+// performs no per-relationship allocations. The sequential sampler owns
+// a single ctx wrapping the model RNG; Workers>1 gives every worker its
+// own ctx with an independent stream-seeded RNG (see DESIGN.md §6).
 type sweepCtx struct {
 	m   *Model
 	rng *rand.Rand
 
-	// arena unifies every draw-pipeline scratch slice of this stream —
-	// weight, prefix-sum, and blocked-kernel buffers (drawarena.go).
-	// Per-worker like the RNG, so no two workers share mutable state
-	// inside a color class.
-	arena drawArena
+	// cum holds one draw's running prefix sums (see cumBuf). Per-worker
+	// like the RNG, so no two workers share mutable state inside a color
+	// class.
+	cum []float64
 
 	// Deferred venue-count overlay, non-nil only on parallel workers:
 	// during a parallel tweet phase the model's venue counts are frozen
@@ -53,9 +52,18 @@ type sweepCtx struct {
 	// stale-boundary protocol (see shard.go); empty outside it.
 	stale []staleOp
 
-	// batch is the per-author tweet-draw batching state (tweetbatch.go),
-	// used only on the fused pipeline.
+	// batch is the per-author tweet-draw batching state (tweetbatch.go).
 	batch tweetBatch
+}
+
+// cumBuf returns the ctx's prefix-sum slice resized to n, growing it
+// when capacity is short.
+func (c *sweepCtx) cumBuf(n int) []float64 {
+	if cap(c.cum) < n {
+		c.cum = make([]float64, n)
+	}
+	c.cum = c.cum[:n]
+	return c.cum
 }
 
 // ensureOverlay allocates the ctx's deferred venue-count overlay on its
@@ -256,17 +264,13 @@ func (m *Model) sweepParallel() {
 
 	if m.useF {
 		m.phase("edge", func() {
-			update := m.updateEdge
-			if m.cfg.BlockedSampler {
-				update = m.updateEdgeBlocked
-			}
 			var wg sync.WaitGroup
 			for _, class := range m.plan.edgeClasses {
 				// Tiny classes are not worth a fan-out barrier; worker 0's
 				// stream absorbs them.
 				if len(class) < 2*W {
 					for _, s := range class {
-						update(m.parCtxs[0], int(s))
+						m.updateEdge(m.parCtxs[0], int(s))
 					}
 					continue
 				}
@@ -281,7 +285,7 @@ func (m *Model) sweepParallel() {
 					go func(ctx *sweepCtx, part []int32) {
 						defer wg.Done()
 						for _, s := range part {
-							update(ctx, int(s))
+							m.updateEdge(ctx, int(s))
 						}
 					}(m.parCtxs[w], class[lo:hi])
 				}
@@ -345,9 +349,7 @@ func (m *Model) foldVenueDeltasFrom(ctxs []*sweepCtx) {
 		ctx.ovlVenues = ctx.ovlVenues[:0]
 		for _, l := range ctx.ovlCities {
 			m.venueSum[l] += ctx.ovlSum[l]
-			if m.venueRSum != nil {
-				m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-			}
+			m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
 			ctx.ovlSum[l] = 0
 		}
 		ctx.ovlCities = ctx.ovlCities[:0]

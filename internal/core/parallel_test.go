@@ -89,12 +89,11 @@ func TestParallelDeterministicForFixedWorkers(t *testing.T) {
 
 // TestParallelCountInvariants: the deferred venue overlay and the
 // user-disjoint ϕ updates must leave the collapsed counts exactly
-// consistent after a parallel fit, for both edge kernels.
+// consistent after a parallel fit.
 func TestParallelCountInvariants(t *testing.T) {
 	d := testWorld(t, 2)
 	for name, cfg := range map[string]Config{
 		"per-variable": {Seed: 5, Iterations: 6, Workers: 4},
-		"blocked":      {Seed: 5, Iterations: 6, Workers: 4, BlockedSampler: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			m, _ := fitFold(t, d, cfg)

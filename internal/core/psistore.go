@@ -16,7 +16,7 @@ import (
 // the row and the per-candidate cost drops to one array load. Counts
 // are gathered, never approximated.
 //
-// Row layout (reworked for the fused draw pipeline, DESIGN.md §9): the
+// Row layout (reworked for the prefix-sum draw pipeline, DESIGN.md §9): the
 // live (city, count) pairs sit densely in two compact parallel arrays,
 // and the open-addressed hash table stores compact indexes instead of
 // keys. Probes pay one extra indirection per step (slot → compact
@@ -284,9 +284,10 @@ type psiGatherCell struct {
 // gatherPsi stamps venue v's counts — the base store row plus, on a
 // parallel worker, the overlay row's pending deltas — into the ctx's
 // epoch-stamped scratch. One pass over the row's compact live pairs
-// replaces per-candidate probes: after the gather, gatheredPsi(l) is an
-// array read per candidate. The epoch stamp makes clearing free; stamps
-// are uint64, so wraparound is unreachable.
+// replaces per-candidate probes: after the gather, city l's count is an
+// array read (gcells[l], zero unless stamped with the current epoch).
+// The epoch stamp makes clearing free; stamps are uint64, so wraparound
+// is unreachable.
 func (c *sweepCtx) gatherPsi(v gazetteer.VenueID) {
 	m := c.m
 	if len(c.gcells) != len(m.venueSum) {
@@ -309,58 +310,4 @@ func (c *sweepCtx) gatherPsi(v gazetteer.VenueID) {
 			}
 		}
 	}
-}
-
-// gatheredPsi is ψ̂_l(v) for the venue of the last gatherPsi call, as
-// seen by this stream (own overlay deltas included on both the count and
-// the sum side).
-func (c *sweepCtx) gatheredPsi(l gazetteer.CityID) float64 {
-	m := c.m
-	var cnt float64
-	if cell := &c.gcells[l]; cell.stamp == c.gepoch {
-		cnt = cell.cnt
-	}
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		sum += c.ovlSum[l]
-	}
-	return m.psiFrom(cnt, sum)
-}
-
-// gatheredPsiExcl is gatheredPsi with one observation at city ex
-// excluded — the "−1" form of Eqs. 6/9. Only city ex's count and sum are
-// affected, and the counts are integer-valued floats, so subtracting
-// here is bit-identical to removing the observation and reading back.
-func (c *sweepCtx) gatheredPsiExcl(l, ex gazetteer.CityID) float64 {
-	m := c.m
-	var cnt float64
-	if cell := &c.gcells[l]; cell.stamp == c.gepoch {
-		cnt = cell.cnt
-	}
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		sum += c.ovlSum[l]
-	}
-	if l == ex {
-		cnt--
-		sum--
-	}
-	return m.psiFrom(cnt, sum)
-}
-
-// psiExcl is the probe-path analogue of gatheredPsiExcl: ψ̂_l(v) with one
-// observation at city ex excluded, resolved by direct row probes.
-func (c *sweepCtx) psiExcl(l gazetteer.CityID, v gazetteer.VenueID, ex gazetteer.CityID) float64 {
-	m := c.m
-	cnt := m.ps.get(v, l)
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		cnt += c.ovl.get(v, l)
-		sum += c.ovlSum[l]
-	}
-	if l == ex {
-		cnt--
-		sum--
-	}
-	return m.psiFrom(cnt, sum)
 }

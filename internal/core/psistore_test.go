@@ -82,6 +82,7 @@ func psiFixture(numVenues, L int) (*Model, *sweepCtx) {
 		numVenues:  numVenues,
 		deltaTotal: 0.01 * float64(numVenues),
 		venueSum:   make([]float64, L),
+		venueRSum:  make([]float64, L),
 		ps:         newPsiStore(numVenues),
 	}
 	ctx := &sweepCtx{m: m, ovl: newPsiStore(numVenues), ovlSum: make([]float64, L)}
@@ -154,6 +155,24 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 	}
 }
 
+// gatheredCount is city l's count from the ctx's last gatherPsi.
+func gatheredCount(c *sweepCtx, l gazetteer.CityID) float64 {
+	if cell := c.gcells[l]; cell.stamp == c.gepoch {
+		return cell.cnt
+	}
+	return 0
+}
+
+// gatheredPsi is ψ̂_l(v) for the venue of the ctx's last gatherPsi, the
+// way the tweet kernel derives it from a gathered count.
+func gatheredPsi(c *sweepCtx, l gazetteer.CityID) float64 {
+	sum := c.m.venueSum[l]
+	if c.ovl != nil {
+		sum += c.ovlSum[l]
+	}
+	return c.m.psiFrom(gatheredCount(c, l), sum)
+}
+
 // TestGatherMatchesPsi: the per-tweet gather must resolve, for every
 // candidate city, exactly the value the per-candidate psi probe returns
 // — bit for bit, with and without pending overlay deltas. This is the
@@ -169,7 +188,7 @@ func TestGatherMatchesPsi(t *testing.T) {
 	for v := 0; v < V; v++ {
 		seq.gatherPsi(gazetteer.VenueID(v))
 		for l := 0; l < L; l++ {
-			got := seq.gatheredPsi(gazetteer.CityID(l))
+			got := gatheredPsi(seq, gazetteer.CityID(l))
 			want := seq.psi(gazetteer.CityID(l), gazetteer.VenueID(v))
 			if got != want {
 				t.Fatalf("seq gather (v=%d, l=%d): %v != psi %v", v, l, got, want)
@@ -189,7 +208,7 @@ func TestGatherMatchesPsi(t *testing.T) {
 	for v := 0; v < V; v++ {
 		ctx.gatherPsi(gazetteer.VenueID(v))
 		for l := 0; l < L; l++ {
-			got := ctx.gatheredPsi(gazetteer.CityID(l))
+			got := gatheredPsi(ctx, gazetteer.CityID(l))
 			want := ctx.psi(gazetteer.CityID(l), gazetteer.VenueID(v))
 			if got != want {
 				t.Fatalf("overlay gather (v=%d, l=%d): %v != psi %v", v, l, got, want)
@@ -203,8 +222,8 @@ func TestGatherMatchesPsi(t *testing.T) {
 func benchPsiWorld(b *testing.B) (*Model, []gazetteer.CityID) {
 	b.Helper()
 	const V, L = 600, 250
-	m := &Model{cfg: Config{Delta: 0.01}, numVenues: V,
-		deltaTotal: 0.01 * float64(V), venueSum: make([]float64, L), ps: newPsiStore(V)}
+	m := &Model{cfg: Config{Delta: 0.01}, numVenues: V, deltaTotal: 0.01 * float64(V),
+		venueSum: make([]float64, L), venueRSum: make([]float64, L), ps: newPsiStore(V)}
 	rng := rand.New(rand.NewSource(3))
 	for v := 0; v < V; v++ {
 		for i, n := 0, 2+rng.Intn(6); i < n; i++ {
@@ -245,7 +264,7 @@ func BenchmarkPsiLookup(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				ctx.gatherPsi(gazetteer.VenueID(n % m.numVenues))
 				for _, l := range cand {
-					sink += ctx.gatheredPsi(l)
+					sink += gatheredPsi(ctx, l)
 				}
 			}
 			_ = sink

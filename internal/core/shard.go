@@ -87,7 +87,7 @@ func buildShardPlan(c *dataset.Corpus, shards int, useF, useT bool) *shardPlan {
 }
 
 // staleOp is one deferred remote-side ϕ mutation of the stale boundary
-// protocol: phi[u][idx] += d (and phiSum[u], and the fused ϕ+γ mirror).
+// protocol: phi[u][idx] += d (and phiSum[u], and the ϕ+γ mirror).
 type staleOp struct {
 	u   dataset.UserID
 	idx int32
@@ -115,13 +115,7 @@ func (m *Model) sweepSharded() {
 		ctx.rng = randutil.Stream(m.cfg.Seed, uint64(m.curIter)<<16|uint64(s))
 	}
 
-	// The blocked kernel's joint draw has no stale factorization; it
-	// always syncs its boundary edges.
-	stale := m.cfg.StaleBoundary && !m.cfg.BlockedSampler
-	update := m.updateEdge
-	if m.cfg.BlockedSampler {
-		update = m.updateEdgeBlocked
-	}
+	stale := m.cfg.StaleBoundary
 	if stale && m.useF && len(m.splan.staleUsers) > 0 {
 		m.snapshotStalePhi()
 	}
@@ -162,7 +156,7 @@ func (m *Model) sweepSharded() {
 					}
 				} else {
 					for _, s := range edges {
-						update(ctx, int(s))
+						m.updateEdge(ctx, int(s))
 					}
 				}
 				for _, k := range tweets {
@@ -191,7 +185,7 @@ func (m *Model) sweepSharded() {
 				// stream absorbs them (mirroring sweepParallel).
 				if len(class) < 2*S {
 					for _, s := range class {
-						update(m.shCtxs[0], int(s))
+						m.updateEdge(m.shCtxs[0], int(s))
 					}
 					continue
 				}
@@ -206,7 +200,7 @@ func (m *Model) sweepSharded() {
 					go func(ctx *sweepCtx, part []int32) {
 						defer bwg.Done()
 						for _, s := range part {
-							update(ctx, int(s))
+							m.updateEdge(ctx, int(s))
 						}
 					}(m.shCtxs[w], class[lo:hi])
 				}
@@ -235,16 +229,14 @@ func (m *Model) snapshotStalePhi() {
 
 // applyStaleOps applies every shard's deferred remote-side ϕ ops, in
 // shard order then op order — a fixed sequence, so the result is
-// deterministic. Ops are exact ±1 shifts; the fused ϕ+γ mirror moves in
+// deterministic. Ops are exact ±1 shifts; the ϕ+γ mirror moves in
 // lockstep as everywhere else.
 func (m *Model) applyStaleOps() {
 	for _, ctx := range m.shCtxs {
 		for _, op := range ctx.stale {
 			m.phi[op.u][op.idx] += op.d
 			m.phiSum[op.u] += op.d
-			if m.pg != nil {
-				m.pg[op.u][op.idx] += op.d
-			}
+			m.pg[op.u][op.idx] += op.d
 		}
 		ctx.stale = ctx.stale[:0]
 	}
@@ -263,13 +255,9 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	e := m.corpus.Edges[s]
 	candI := m.cands.cand[e.From]
 	candJ := m.cands.cand[e.To]
-	gammaI := m.cands.gamma[e.From]
 	gammaJ := m.cands.gamma[e.To]
 	phiI := m.phi[e.From]
-	var pgI []float64
-	if m.fused {
-		pgI = m.pg[e.From]
-	}
+	pgI := m.pg[e.From]
 	snap := m.stalePhi[e.To]
 	snapSum := m.staleSums[e.To]
 	counted := !m.mu[s]
@@ -279,12 +267,10 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]--
 		m.phiSum[e.From]--
-		if pgI != nil {
-			pgI[xi]--
-		}
+		pgI[xi]--
 	}
 	yLoc := candJ[m.ey[s]]
-	xi = m.drawEdgeSide(ctx, candI, phiI, gammaI, pgI, yLoc, counted)
+	xi = m.drawEdgeSide(ctx, candI, pgI, yLoc, counted)
 	if xi < 0 {
 		xi = int(m.ex[s])
 	}
@@ -292,9 +278,7 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]++
 		m.phiSum[e.From]++
-		if pgI != nil {
-			pgI[xi]++
-		}
+		pgI[xi]++
 	}
 
 	// --- y_s (friend side, remote → snapshot reads, deferred writes) ---
@@ -337,7 +321,7 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	}
 	p1 := m.cfg.RhoF * m.fr
 	p0 := (1 - m.cfg.RhoF) * thetaX * thetaY * m.beta *
-		m.pow(candI[xi], candJ[yi])
+		m.dt.pow(candI[xi], candJ[yi])
 	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
 	if noisy == m.mu[s] {
 		return
@@ -349,54 +333,40 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	}
 	phiI[xi] += d
 	m.phiSum[e.From] += d
-	if pgI != nil {
-		pgI[xi] += d
-	}
+	pgI[xi] += d
 	ctx.stale = append(ctx.stale, staleOp{u: e.To, idx: int32(yi), d: d})
 }
 
 // drawEdgeSideStale is drawEdgeSide for a remote friend side: the
 // profile factor comes from the snapshot row (own counted assignment
-// subtracted), the distance factor from the same table variants as
-// edgeWeights, and the draw consumes one uniform iff the mass is
-// positive — keeping the stale chain draw-for-draw coupled to the synced
-// one on identical weights.
+// subtracted), the distance factor from the same table rows, and the
+// draw consumes one uniform iff the mass is positive — keeping the stale
+// chain draw-for-draw coupled to the synced one on identical weights.
 func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma, snap []float64, yiOld int, opp gazetteer.CityID, counted bool) int {
-	w := ctx.arena.buf(len(cand))
-	for c := range cand {
-		w[c] = snap[c] + gamma[c]
-	}
+	cum := ctx.cumBuf(len(cand))
+	pt := m.dt.powTab
+	var row []uint32
+	var prow []float64
 	if counted {
-		w[yiOld]--
-		if w[yiOld] < 0 {
-			w[yiOld] = 0
+		if row = m.dt.row(opp); row == nil {
+			prow = m.dt.powRow(opp)
 		}
-		if dt := m.dt; dt != nil {
-			if row := dt.row(opp); row != nil {
-				pt := dt.powTab
-				for c, l := range cand {
-					w[c] *= pt[row[l]]
-				}
+	}
+	var total float64
+	for c, l := range cand {
+		w := snap[c] + gamma[c]
+		if counted {
+			if c == yiOld {
+				w = max(w-1, 0)
+			}
+			if row != nil {
+				w *= pt[row[l]]
 			} else {
-				prow := dt.powRow(opp)
-				for c, l := range cand {
-					w[c] *= prow[l]
-				}
-			}
-		} else {
-			for c := range cand {
-				w[c] *= m.dc.powDist(cand[c], opp, m.alpha)
+				w *= prow[l]
 			}
 		}
+		total += w
+		cum[c] = total
 	}
-	if m.fused {
-		cum := ctx.arena.cumBuf(len(cand))
-		var total float64
-		for c := range w {
-			total += w[c]
-			cum[c] = total
-		}
-		return randutil.InvertCum(ctx.rng, cum)
-	}
-	return randutil.Categorical(ctx.rng, w)
+	return randutil.InvertCum(ctx.rng, cum)
 }

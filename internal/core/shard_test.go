@@ -172,32 +172,28 @@ func TestShardedGoldenPins(t *testing.T) {
 }
 
 // TestShards1GoldenMatrix is the satellite lock: an explicit Shards=1
-// must reproduce the full golden fingerprint matrix cell-for-cell —
-// Shards=1 is defined as the exact pre-sharding chain, not merely an
-// equivalent one.
+// must reproduce the golden fingerprint matrix cell-for-cell — Shards=1
+// is defined as the exact pre-sharding chain, not merely an equivalent
+// one.
 func TestShards1GoldenMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, f := range goldenDrawModes {
-			name := g.name + "/" + goldenPsiCell + "/" + f.name
-			t.Run(name+"/shards=1", func(t *testing.T) {
-				cfg := goldenCfg()
-				cfg.Workers = g.workers
-				cfg.DistTable = g.dist
-				cfg.FusedDraw = f.draw
-				cfg.Shards = 1
-				m, err := Fit(&d.Corpus, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fitFingerprint(m); got != g.fingerprint {
-					t.Errorf("Shards=1 %s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
-				}
-			})
-		}
+		name := goldenCellName(g.name)
+		t.Run(name+"/shards=1", func(t *testing.T) {
+			cfg := goldenCfg()
+			cfg.Workers = g.workers
+			cfg.Shards = 1
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fitFingerprint(m); got != g.fingerprint {
+				t.Errorf("Shards=1 %s fingerprint %#x differs from golden %#x", name, got, g.fingerprint)
+			}
+		})
 	}
 }
 
@@ -246,9 +242,8 @@ func TestShards1StreamedWorldGolden(t *testing.T) {
 func TestShardedCountInvariants(t *testing.T) {
 	d := testWorld(t, 2)
 	for name, cfg := range map[string]Config{
-		"sync":    {Seed: 5, Iterations: 6, Shards: 4},
-		"stale":   {Seed: 5, Iterations: 6, Shards: 4, StaleBoundary: true},
-		"blocked": {Seed: 5, Iterations: 6, Shards: 4, BlockedSampler: true},
+		"sync":  {Seed: 5, Iterations: 6, Shards: 4},
+		"stale": {Seed: 5, Iterations: 6, Shards: 4, StaleBoundary: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			m, _ := fitFold(t, d, cfg)
@@ -330,46 +325,57 @@ func TestStaleVsSyncAgreement(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence runs the DistTable and FusedDraw equivalence
-// pairs under Shards=4: the coupling argument is per shard stream, so
-// the ≥99% top-1 bound must hold exactly as it does for Workers>1.
+// shardedAgreementMin is the top-1 agreement a sharded production fit
+// must reach against the sequential reference fit. The sharded chain
+// runs on per-shard RNG streams, so it is not coupled to the reference
+// draw for draw; the floor is the independent-chain band (~0.94 on
+// these worlds) minus slack, as for TestStaleVsSyncAgreement. A drop
+// below it means a shard protocol samples a different posterior.
+const shardedAgreementMin = 0.90
+
+// TestShardedEquivalence compares Shards=4 production fits under both
+// boundary protocols with the reference sampler on the mixed
+// equivalence world.
 func TestShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
 	}
-	w := equivWorlds()[2]
-	cfg := Config{Seed: 7, Iterations: 12, Shards: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	exact, table, c := fitEquivPair(t, w.cfg, cfg)
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("shards=4 dist top-1 agreement %.4f; alpha exact %.4f table %.4f", agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("shards=4 top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("shards=4 alpha diverged: exact %.4f vs table %.4f", aE, aT)
-	}
-
-	cfg.StaleBoundary = true
-	scan, fused, c2 := fitFusedPair(t, w.cfg, cfg)
-	agree = top1Agreement(scan, fused, c2)
-	t.Logf("shards=4 stale fused top-1 agreement %.4f", agree)
-	if agree < equivAgreementMin {
-		t.Errorf("shards=4 stale fused top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
+	c := equivCorpus(t, equivWorlds()[2].cfg)
+	cfg := Config{Seed: 7, Iterations: 12, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
+	requireShardedNearReference(t, c, cfg)
 }
 
 // TestShardedEquivalenceSmoke is the -short leg: one small world, both
-// protocols, DistTable pair only.
+// protocols.
 func TestShardedEquivalenceSmoke(t *testing.T) {
+	c := equivCorpus(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100})
+	cfg := Config{Seed: 7, Iterations: 8, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
+	requireShardedNearReference(t, c, cfg)
+}
+
+// requireShardedNearReference fits c with the reference sampler and
+// with Shards=4 under both boundary protocols, and requires each
+// sharded fit to agree with the reference on ≥shardedAgreementMin of
+// top-1 predictions.
+func requireShardedNearReference(t *testing.T, c *dataset.Corpus, cfg Config) {
+	t.Helper()
+	ref, err := fitReference(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 4
 	for _, stale := range []bool{false, true} {
-		cfg := Config{Seed: 7, Iterations: 8, Shards: 4, StaleBoundary: stale, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-		exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-		agree := top1Agreement(exact, table, c)
-		t.Logf("stale=%v smoke top-1 agreement %.4f", stale, agree)
-		if agree < equivAgreementMin {
-			t.Errorf("stale=%v smoke top-1 agreement %.4f < %.2f", stale, agree, equivAgreementMin)
+		cfg.StaleBoundary = stale
+		sh, err := Fit(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree := top1Agreement(ref, sh, c)
+		aR, _ := ref.AlphaBeta()
+		aS, _ := sh.AlphaBeta()
+		t.Logf("stale=%v: top-1 agreement with the reference %.4f; alpha reference %.4f sharded %.4f", stale, agree, aR, aS)
+		if agree < shardedAgreementMin {
+			t.Errorf("stale=%v: top-1 agreement with the reference %.4f < %.2f", stale, agree, shardedAgreementMin)
 		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 // across the determinism matrix).
 //
 // Loaded models are read-only: no sweep state (RNG streams, scratch
-// arenas, fused mirrors) is reconstructed, and none of the read paths
+// buffers, the ϕ+γ mirror) is reconstructed, and none of the read paths
 // touch it. Continuing inference from a snapshot is out of scope.
 
 // snapshotMagic opens every snapshot file. The trailing newline makes an
@@ -47,12 +47,21 @@ var snapshotMagic = [8]byte{'M', 'L', 'P', 'S', 'N', 'A', 'P', '\n'}
 // to the config section.
 const SnapshotVersion uint32 = 2
 
-// psiStoreSlot fills the config slot of the retired PsiStore knob with
-// the value its default (venue-major) setting wrote, so snapshots stay
-// byte-identical to those of earlier version 2 writers. Decoders ignore
-// the slot: a file written with the city-major setting (2) holds the
-// same venue triples and loads the same way.
-const psiStoreSlot = 1
+// Config slots of the retired blocked-kernel, distance-table, ψ̂-store
+// and fused-draw knobs. Writers fill them with the values the knobs' defaults
+// wrote, so snapshots stay byte-identical to those of earlier version 2
+// writers. Decoders ignore them, with one exception: a file whose
+// DistTable slot holds distTableSlotExact was fitted with exact d^α, and
+// its loaded model builds no distance table, so MAPExplainEdge keeps
+// evaluating d^α exactly (Model.pow) and serves the bytes it always did.
+// Re-encoding such a model writes the slot back unchanged.
+const (
+	blockedSlot        = false
+	distTableSlotOn    = 1
+	distTableSlotExact = 2
+	psiStoreSlot       = 1
+	fusedDrawSlot      = 1
+)
 
 // snapshotFlagSharded marks a file that carries one shard's slice of
 // the model state rather than a whole model. Such files live inside a
@@ -225,10 +234,11 @@ func (r *snapReader) f64s() []float64 {
 	return out
 }
 
-// encodeConfig writes the defaulted Config field by field in fixed order.
-// OnIteration (a callback) is the one field that cannot travel; a loaded
-// model never sweeps, so nothing consults it.
-func encodeConfig(w *snapWriter, c Config) {
+// encodeConfig writes the defaulted Config field by field in fixed order,
+// with the retired knobs' slots in place (exactDist selects the
+// DistTable slot). OnIteration (a callback) is the one field that
+// cannot travel; a loaded model never sweeps, so nothing consults it.
+func encodeConfig(w *snapWriter, c Config, exactDist bool) {
 
 	w.i64(c.Seed)
 	w.i64(int64(c.Variant))
@@ -247,10 +257,14 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.bool(c.GibbsEM)
 	w.i64(int64(c.EMInterval))
 	w.i64(int64(c.EMPairSample))
-	w.bool(c.BlockedSampler)
-	w.i64(int64(c.DistTable))
+	w.bool(blockedSlot)
+	if exactDist {
+		w.i64(distTableSlotExact)
+	} else {
+		w.i64(distTableSlotOn)
+	}
 	w.i64(psiStoreSlot)
-	w.i64(int64(c.FusedDraw))
+	w.i64(fusedDrawSlot)
 	w.bool(c.DisableNoiseMixture)
 	w.bool(c.DisableSupervision)
 	w.bool(c.AllLocationCandidates)
@@ -258,8 +272,10 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.bool(c.StaleBoundary)
 }
 
-func decodeConfig(r *snapReader) Config {
-	var c Config
+// decodeConfig reads what encodeConfig wrote. exactDist reports a
+// DistTable slot of distTableSlotExact; the other retired slots are
+// ignored.
+func decodeConfig(r *snapReader) (c Config, exactDist bool) {
 	c.Seed = r.i64()
 	c.Variant = Variant(r.i64())
 	c.Iterations = int(r.i64())
@@ -277,17 +293,22 @@ func decodeConfig(r *snapReader) Config {
 	c.GibbsEM = r.bool()
 	c.EMInterval = int(r.i64())
 	c.EMPairSample = int(r.i64())
-	c.BlockedSampler = r.bool()
-	c.DistTable = DistTableMode(r.i64())
-	r.i64() // psiStoreSlot: ignored
-	c.FusedDraw = FusedDrawMode(r.i64())
+	r.bool() // blockedSlot
+	exactDist = r.i64() == distTableSlotExact
+	r.i64() // psiStoreSlot
+	r.i64() // fusedDrawSlot
 	c.DisableNoiseMixture = r.bool()
 	c.DisableSupervision = r.bool()
 	c.AllLocationCandidates = r.bool()
 	c.Shards = int(r.i64())
 	c.StaleBoundary = r.bool()
-	return c
+	return c, exactDist
 }
+
+// exactDist reports whether the model evaluates d^α exactly: a model
+// that consumes edges but carries no distance table, which only loading
+// a snapshot with distTableSlotExact produces.
+func (m *Model) exactDist() bool { return m.useF && m.dt == nil }
 
 // checkWorldFingerprint consumes the section hashes from r and compares
 // them against the corpus, so the mismatch error can say *what* differs
@@ -308,10 +329,9 @@ func checkWorldFingerprint(c *dataset.Corpus, r *snapReader) error {
 
 // newSnapshotModel builds the deterministic, corpus-derived part of a
 // loaded model: distance machinery, candidacy vectors and priors, and
-// an empty venue-count store. The
-// caller scatters the snapshot-carried state (ϕ, latent assignments,
-// venue triples) into it.
-func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters int) *Model {
+// an empty venue-count store. The caller scatters the snapshot-carried
+// state (ϕ, latent assignments, venue triples) into it.
+func newSnapshotModel(c *dataset.Corpus, cfg Config, exactDist bool, alpha, beta float64, iters int) *Model {
 	m := &Model{
 		cfg:    cfg,
 		corpus: c,
@@ -327,7 +347,7 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 
 	// The distance table serves MAPExplainEdge's d^α exactly as the
 	// fitted model's last α-epoch did: same table, same final exponent.
-	if m.useF && cfg.DistTable != DistTableOff {
+	if m.useF && !exactDist {
 		m.dt = distTableFor(m.dc, c.Gaz)
 		m.dt.setAlpha(m.alpha)
 	}
@@ -376,7 +396,7 @@ func (m *Model) EncodeSnapshot(wr io.Writer) error {
 		w.buf.Write(h[:])
 	}
 
-	encodeConfig(w, m.cfg)
+	encodeConfig(w, m.cfg, m.exactDist())
 
 	w.f64(m.alpha)
 	w.f64(m.beta)
@@ -507,7 +527,7 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 		return nil, err
 	}
 
-	cfg := decodeConfig(r)
+	cfg, exactDist := decodeConfig(r)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -521,7 +541,7 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	m := newSnapshotModel(c, cfg, alpha, beta, iters)
+	m := newSnapshotModel(c, cfg, exactDist, alpha, beta, iters)
 
 	n := len(c.Users)
 	if got := int(r.u32()); r.err == nil && got != n {
@@ -583,8 +603,7 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 		}
 	}
 
-	// Collapsed venue counts, rebuilt into whichever layout the config
-	// selects.
+	// Collapsed venue counts, rebuilt into the venue-major store.
 	nTriples := r.length(16)
 	for i := 0; i < nTriples; i++ {
 		v := int(r.u32())

@@ -91,7 +91,7 @@ func (m *Model) encodeShardSnapshot(s, shards int, users, edges, tweets []int32)
 	for _, h := range fp {
 		w.buf.Write(h[:])
 	}
-	encodeConfig(w, m.cfg)
+	encodeConfig(w, m.cfg, m.exactDist())
 	w.f64(m.alpha)
 	w.f64(m.beta)
 	w.i64(int64(m.iterationsRun))
@@ -365,7 +365,7 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 		}
 
 		confStart := r.off
-		cfg := decodeConfig(r)
+		cfg, exactDist := decodeConfig(r)
 		alpha := r.f64()
 		beta := r.f64()
 		iters := int(r.i64())
@@ -380,7 +380,7 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 			if cfg.Shards != man.ShardCount {
 				return nil, fmt.Errorf("core: snapshot fitted with Shards=%d but directory holds %d shards", cfg.Shards, man.ShardCount)
 			}
-			m = newSnapshotModel(c, cfg, alpha, beta, iters)
+			m = newSnapshotModel(c, cfg, exactDist, alpha, beta, iters)
 			m.phi = make([][]float64, len(c.Users))
 			m.phiSum = make([]float64, len(c.Users))
 			if m.useF {

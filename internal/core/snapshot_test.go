@@ -21,21 +21,7 @@ import (
 // refined (α, β).
 func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus) {
 	t.Helper()
-	if a, b := fitFingerprint(fitted), fitFingerprint(loaded); a != b {
-		t.Fatalf("profile fingerprint diverged: fitted %#x loaded %#x", a, b)
-	}
-	for u := range c.Users {
-		want := fitted.Profile(dataset.UserID(u))
-		got := loaded.Profile(dataset.UserID(u))
-		if len(want) != len(got) {
-			t.Fatalf("user %d: profile length %d vs %d", u, len(want), len(got))
-		}
-		for i := range want {
-			if want[i].City != got[i].City || math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
-				t.Fatalf("user %d entry %d: %v vs %v", u, i, want[i], got[i])
-			}
-		}
-	}
+	requireProfileEquality(t, fitted, loaded, c)
 	for v := 0; v < c.Venues.Len(); v++ {
 		for _, l := range c.Venues.Venue(gazetteer.VenueID(v)).Locations {
 			a := fitted.VenueProbability(l, gazetteer.VenueID(v))
@@ -79,102 +65,208 @@ func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus)
 	}
 }
 
-// withPsiSlot returns a copy of the whole-model snapshot snap with
-// the config slot of the retired PsiStore knob set to v and the trailer
-// checksum recomputed — what a writer with the knob at that setting
-// produced (1 = venue-major, 2 = city-major maps). It fails the test if
-// the slot does not hold psiStoreSlot, so a moved slot cannot go
-// unnoticed.
-func withPsiSlot(t *testing.T, snap []byte, v int64) []byte {
+// requireProfileEquality asserts the profile readouts — the fit
+// fingerprint and every user's full profile — are bit-identical.
+func requireProfileEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus) {
 	t.Helper()
-	// Header (magic, version, flags, shard index, shard count), the world
-	// fingerprint, then the config fields before the slot: Seed, Variant,
-	// Iterations, Workers, RhoF, RhoT, NoiseBurnIn, Alpha, Beta, Tau,
-	// GammaBoost, Delta, MaxCandidates, MaxVenueSenses (14×8 bytes),
-	// GibbsEM (1), EMInterval, EMPairSample (2×8), BlockedSampler (1),
-	// DistTable (8).
-	off := len(snapshotMagic) + 4*4 + int(dataset.NumFingerprintSections)*sha256.Size +
-		14*8 + 1 + 2*8 + 1 + 8
-	if got := binary.LittleEndian.Uint64(snap[off:]); got != psiStoreSlot {
-		t.Fatalf("PsiStore slot at byte %d holds %d, want %d", off, got, psiStoreSlot)
+	if a, b := fitFingerprint(fitted), fitFingerprint(loaded); a != b {
+		t.Fatalf("profile fingerprint diverged: fitted %#x loaded %#x", a, b)
 	}
+	for u := range c.Users {
+		want := fitted.Profile(dataset.UserID(u))
+		got := loaded.Profile(dataset.UserID(u))
+		if len(want) != len(got) {
+			t.Fatalf("user %d: profile length %d vs %d", u, len(want), len(got))
+		}
+		for i := range want {
+			if want[i].City != got[i].City || math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
+				t.Fatalf("user %d entry %d: %v vs %v", u, i, want[i], got[i])
+			}
+		}
+	}
+}
+
+// retiredSlots are the config-section values of the retired
+// blocked-kernel, distance-table, ψ̂-store and fused-draw knobs.
+type retiredSlots struct {
+	blocked         bool
+	dist, psi, draw int64
+}
+
+// defaultSlots is what writers store there: each knob's old default.
+var defaultSlots = retiredSlots{blockedSlot, distTableSlotOn, psiStoreSlot, fusedDrawSlot}
+
+// retiredSlotsOffset is the byte offset of the blocked-kernel slot in a
+// whole-model snapshot: the header (magic, version, flags, shard index,
+// shard count), the world fingerprint, then the config fields before
+// the slots — Seed, Variant, Iterations, Workers, RhoF, RhoT,
+// NoiseBurnIn, Alpha, Beta, Tau, GammaBoost, Delta, MaxCandidates,
+// MaxVenueSenses (14×8 bytes), GibbsEM (1), EMInterval, EMPairSample
+// (2×8). The DistTable, PsiStore and FusedDraw slots follow at +1, +9
+// and +17.
+const retiredSlotsOffset = len(snapshotMagic) + 4*4 + int(dataset.NumFingerprintSections)*sha256.Size +
+	14*8 + 1 + 2*8
+
+// readRetiredSlots decodes the retired knobs' slots of a snapshot.
+func readRetiredSlots(snap []byte) retiredSlots {
+	off, le := retiredSlotsOffset, binary.LittleEndian
+	return retiredSlots{
+		blocked: snap[off] != 0,
+		dist:    int64(le.Uint64(snap[off+1:])),
+		psi:     int64(le.Uint64(snap[off+9:])),
+		draw:    int64(le.Uint64(snap[off+17:])),
+	}
+}
+
+// withRetiredSlots returns a copy of the whole-model snapshot snap with
+// the retired knobs' slots set to v and the trailer checksum recomputed
+// — what a writer with the knobs at those settings produced (DistTable
+// 2 = exact d^α, PsiStore 2 = city-major maps, FusedDraw 2 = Categorical
+// draws). It fails the test unless snap holds the default values there,
+// so a moved slot cannot go unnoticed.
+func withRetiredSlots(t *testing.T, snap []byte, v retiredSlots) []byte {
+	t.Helper()
+	if got := readRetiredSlots(snap); got != defaultSlots {
+		t.Fatalf("retired config slots at byte %d hold %+v, want %+v", retiredSlotsOffset, got, defaultSlots)
+	}
+	off, le := retiredSlotsOffset, binary.LittleEndian
 	out := bytes.Clone(snap)
-	binary.LittleEndian.PutUint64(out[off:], uint64(v))
+	out[off] = 0
+	if v.blocked {
+		out[off] = 1
+	}
+	le.PutUint64(out[off+1:], uint64(v.dist))
+	le.PutUint64(out[off+9:], uint64(v.psi))
+	le.PutUint64(out[off+17:], uint64(v.draw))
 	payload := out[:len(out)-sha256.Size]
 	sum := sha256.Sum256(payload)
 	copy(out[len(payload):], sum[:])
 	return out
 }
 
+// withPsiSlot is withRetiredSlots with only the PsiStore slot moved.
+func withPsiSlot(t *testing.T, snap []byte, v int64) []byte {
+	t.Helper()
+	slots := defaultSlots
+	slots.psi = v
+	return withRetiredSlots(t, snap, slots)
+}
+
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under every Workers × DistTable × FusedDraw cell
-// of the golden matrix, encode → decode must reproduce every readout
-// bit for bit. The psi=map cells load the same snapshot with the retired
-// PsiStore slot set to the city-major value: the decoder ignores the
-// slot, so the loaded model must re-encode to the original bytes (the
-// full readout check on such a file is in
-// TestSnapshotEncodingDeterministic).
+// determinism matrix: under every golden matrix cell, encode → decode
+// must reproduce every readout bit for bit. The psi=map cells load the
+// same snapshot with the retired PsiStore slot set to the city-major
+// value: the decoder ignores the slot, so the loaded model must
+// re-encode to the original bytes (the full readout check on such a
+// file is in TestSnapshotEncodingDeterministic).
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, f := range goldenDrawModes {
-			if testing.Short() && (g.workers != 1 || f.draw != FusedDrawOn) {
-				continue // -short: default cell only
-			}
-			cfg := goldenCfg()
-			cfg.Workers = g.workers
-			cfg.DistTable = g.dist
-			cfg.FusedDraw = f.draw
-			m, err := Fit(&d.Corpus, cfg)
+		if testing.Short() && g.workers != 1 {
+			continue // -short: default cell only
+		}
+		cfg := goldenCfg()
+		cfg.Workers = g.workers
+		m, err := Fit(&d.Corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.EncodeSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(g.name+"/psi=map/"+goldenDrawCell, func(t *testing.T) {
+			loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withPsiSlot(t, buf.Bytes(), 2)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := m.EncodeSnapshot(&buf); err != nil {
+			var re bytes.Buffer
+			if err := loaded.EncodeSnapshot(&re); err != nil {
 				t.Fatal(err)
 			}
-			t.Run(g.name+"/psi=map/"+f.name, func(t *testing.T) {
-				loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withPsiSlot(t, buf.Bytes(), 2)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var re bytes.Buffer
-				if err := loaded.EncodeSnapshot(&re); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-					t.Fatal("model loaded from a city-major snapshot re-encodes to different bytes")
-				}
-			})
-			t.Run(g.name+"/"+goldenPsiCell+"/"+f.name, func(t *testing.T) {
-				loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireReadEquality(t, m, loaded, &d.Corpus)
-			})
-		}
+			if !bytes.Equal(re.Bytes(), buf.Bytes()) {
+				t.Fatal("model loaded from a city-major snapshot re-encodes to different bytes")
+			}
+		})
+		t.Run(goldenCellName(g.name), func(t *testing.T) {
+			loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireReadEquality(t, m, loaded, &d.Corpus)
+		})
 	}
 }
 
-// Pinned SHA-256 digests of the golden fit's snapshot, captured before
-// the PsiStore knob was retired: goldenSnapshotSHA is what the default
-// venue-major writer produced, goldenSnapshotMapSHA what the city-major
-// writer produced (the same bytes except the PsiStore slot and the
-// trailer).
+// TestSnapshotRetiredKnobSlots loads a golden snapshot whose retired
+// slots say blocked kernel, exact d^α, city-major counts and
+// Categorical draws — what a fit with all four off paths wrote. It
+// must load with the same profiles and no distance table, so
+// MAPExplainEdge evaluates d^α exactly as the exact-path model did;
+// re-encoding must write the exact-d^α slot back and nothing else.
+func TestSnapshotRetiredKnobSlots(t *testing.T) {
+	d, err := synth.Generate(*goldenWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(&d.Corpus, goldenCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy := withRetiredSlots(t, buf.Bytes(), retiredSlots{blocked: true, dist: 2, psi: 2, draw: 2})
+	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireProfileEquality(t, m, loaded, &d.Corpus)
+	if loaded.dt != nil {
+		t.Fatal("a snapshot with the exact-d^α slot loaded with a distance table")
+	}
+	e := d.Corpus.Edges[0]
+	xi, yi := loaded.ex[0], loaded.ey[0]
+	a, b := loaded.cands.cand[e.From][xi], loaded.cands.cand[e.To][yi]
+	if got, want := loaded.pow(a, b), loaded.dc.powDist(a, b, loaded.alpha); got != want {
+		t.Errorf("loaded pow(%d, %d) = %v, exact d^alpha = %v", a, b, got, want)
+	}
+	var re bytes.Buffer
+	if err := loaded.EncodeSnapshot(&re); err != nil {
+		t.Fatal(err)
+	}
+	want := defaultSlots
+	want.dist = distTableSlotExact
+	if got := readRetiredSlots(re.Bytes()); got != want {
+		t.Errorf("re-encoded retired slots %+v, want %+v", got, want)
+	}
+}
+
+// Pinned SHA-256 digests of the golden fit's snapshot, captured with the
+// writers of the retired knobs. goldenSnapshotTableSHA is what the
+// default writer produced, and the only writer left must reproduce it.
+// goldenSnapshotSHA is the exact-d^α writer's (DistTable slot 2) and
+// goldenSnapshotMapSHA the exact-d^α, city-major writer's (DistTable
+// and PsiStore slots 2): the same fitted state — the chains were
+// bit-identical on the golden world — with different config slots and
+// trailers.
 const (
-	goldenSnapshotSHA    = "fca21a3fc9f6a8cd85c0287473c80602dad6216b2b740b29f88bb9c41d057cf7"
-	goldenSnapshotMapSHA = "f99fe20b0c1c2baf6082ce77998f60f90d3cbcb85d7415eb3a9e7cec3eff6dd4"
+	goldenSnapshotTableSHA = "6820d2ea7b9e19b7b2033d0c69cbde1fb4c2f14282fea30a5e09909ce75f5b03"
+	goldenSnapshotSHA      = "fca21a3fc9f6a8cd85c0287473c80602dad6216b2b740b29f88bb9c41d057cf7"
+	goldenSnapshotMapSHA   = "f99fe20b0c1c2baf6082ce77998f60f90d3cbcb85d7415eb3a9e7cec3eff6dd4"
 )
 
 // TestSnapshotEncodingDeterministic: the same fitted model must serialize
 // to identical bytes, and those bytes must match the pinned digest (the
-// venue triples are emitted sorted, not in internal iteration order). A
-// city-major snapshot — the pinned bytes with the PsiStore slot at 2 —
-// must still load.
+// venue triples are emitted sorted, not in internal iteration order).
+// The same bytes with the retired slots of the exact-d^α and city-major
+// writers must match their pinned digests too and load with the same
+// profiles; a city-major file with the default DistTable slot must
+// reproduce every readout.
 func TestSnapshotEncodingDeterministic(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -194,15 +286,30 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two encodings of the same model differ")
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(a.Bytes())); got != goldenSnapshotSHA {
-		t.Errorf("snapshot SHA-256 %s differs from pinned %s", got, goldenSnapshotSHA)
+	if got := fmt.Sprintf("%x", sha256.Sum256(a.Bytes())); got != goldenSnapshotTableSHA {
+		t.Errorf("snapshot SHA-256 %s differs from pinned %s", got, goldenSnapshotTableSHA)
 	}
 
-	legacy := withPsiSlot(t, a.Bytes(), 2)
-	if got := fmt.Sprintf("%x", sha256.Sum256(legacy)); got != goldenSnapshotMapSHA {
-		t.Errorf("city-major snapshot SHA-256 %s differs from pinned %s", got, goldenSnapshotMapSHA)
+	for _, legacy := range []struct {
+		name  string
+		slots retiredSlots
+		sha   string
+	}{
+		{"exact", retiredSlots{dist: distTableSlotExact, psi: psiStoreSlot, draw: fusedDrawSlot}, goldenSnapshotSHA},
+		{"exact city-major", retiredSlots{dist: distTableSlotExact, psi: 2, draw: fusedDrawSlot}, goldenSnapshotMapSHA},
+	} {
+		snap := withRetiredSlots(t, a.Bytes(), legacy.slots)
+		if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != legacy.sha {
+			t.Errorf("%s snapshot SHA-256 %s differs from pinned %s", legacy.name, got, legacy.sha)
+		}
+		loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireProfileEquality(t, m, loaded, &d.Corpus)
 	}
-	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(legacy))
+
+	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withPsiSlot(t, a.Bytes(), 2)))
 	if err != nil {
 		t.Fatal(err)
 	}

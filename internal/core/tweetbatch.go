@@ -5,8 +5,8 @@ import (
 	"mlprofile/internal/randutil"
 )
 
-// This file implements the per-author batched tweet kernel of the fused
-// draw pipeline (see DESIGN.md §14). Consecutive tweets of one
+// This file implements the tweet kernel, batched per author (see
+// DESIGN.md §14). Consecutive tweets of one
 // author share the same candidate set, and between two of the author's
 // own draws nothing this stream can see mutates the venue counts — the
 // sequential chain interleaves no other author inside the run, and a
@@ -205,14 +205,22 @@ func (b *tweetBatch) theta(m *Model, u int32, idx int, excludeSelf bool) float64
 	return num * b.thetaRDen
 }
 
-// updateTweetBatched is the fused pipeline's tweet kernel. Same
-// conditionals, same two draws and identical RNG consumption as
-// updateTweetScan; the per-candidate ψ̂ resolution is served from the
-// per-author batch cache instead of per-draw gathers, and the Eq. 6/9
-// exclusion is applied to the one candidate index it affects (candidate
-// cities are unique within a user's set, so only the current
-// assignment's index carries the excluded city).
-func (m *Model) updateTweetBatched(ctx *sweepCtx, k int) {
+// updateTweet resamples z_k (Eq. 9) and ν_k (Eq. 6) for one tweeting
+// relationship, with the same counts-only-while-location-based
+// convention as updateEdge. Same conditionals, same two draws and
+// identical RNG consumption as the reference sampler's remove →
+// Categorical → add (reference_test.go), with three savings:
+//
+//   - the per-candidate ψ̂ counts are served from the per-author batch
+//     cache instead of per-draw probes;
+//   - the Eq. 6/9 exclusion of the current assignment is applied
+//     arithmetically (cnt−1, sum−1 — exact, the counts are
+//     integer-valued floats) to the one candidate index it affects
+//     (candidate cities are unique within a user's set), and the store
+//     is written only when the assignment actually moves;
+//   - the fill emits running prefix sums for randutil.InvertCum
+//     (DESIGN.md §9).
+func (m *Model) updateTweet(ctx *sweepCtx, k int) {
 	t := m.corpus.Tweets[k]
 	u := t.User
 	cand := m.cands.cand[u]
@@ -233,8 +241,7 @@ func (m *Model) updateTweetBatched(ctx *sweepCtx, k int) {
 		m.phiSum[u]--
 		pg[zi]--
 	}
-	cum := ctx.arena.cumBuf(len(cand))
-	cum = cum[:len(cand)]
+	cum := ctx.cumBuf(len(cand))[:len(cand)]
 	pgv := pg[:len(cand)]
 	var total float64
 	var e *batchEntry
@@ -336,8 +343,8 @@ func (m *Model) updateTweetBatched(ctx *sweepCtx, k int) {
 
 // TweetBatchStats aggregates the batching layer's counters across every
 // sampler stream of a fit: entries gathered, entries reused, and
-// in-place repairs after the author's own draws. All zero when the
-// batch layer is inactive.
+// in-place repairs after the author's own draws. All zero for a fit
+// without tweets and for a model loaded from a snapshot.
 type TweetBatchStats struct {
 	Built, Hits, Repairs int64
 }
@@ -364,7 +371,3 @@ func (m *Model) TweetBatchStats() TweetBatchStats {
 	}
 	return s
 }
-
-// TweetBatchActive reports whether the fit ran the batched tweet kernel,
-// which the fused draw pipeline always does.
-func (m *Model) TweetBatchActive() bool { return m.fused }

@@ -54,12 +54,6 @@ type Options struct {
 	StaleBoundary bool
 	// DisableGibbsEM turns off the (α, β) refinement (on by default).
 	DisableGibbsEM bool
-	// DistTable selects the sampler's distance fast path (default on;
-	// core.DistTableOff runs the exact reference sampler).
-	DistTable core.DistTableMode
-	// FusedDraw selects the categorical draw pipeline (default fused;
-	// core.FusedDrawOff runs the reference fill + Categorical path).
-	FusedDraw core.FusedDrawMode
 }
 
 func (o Options) withDefaults() Options {
@@ -254,8 +248,6 @@ func (r *Runner) runFold(f int, test []dataset.UserID) (*foldResult, error) {
 			Shards:        r.opts.Shards,
 			StaleBoundary: r.opts.StaleBoundary,
 			GibbsEM:       !r.opts.DisableGibbsEM,
-			DistTable:     r.opts.DistTable,
-			FusedDraw:     r.opts.FusedDraw,
 		}
 		if name == MethodMLP && f == 0 {
 			// Fig. 5: trace test accuracy across sweeps.
@@ -328,8 +320,6 @@ func (r *Runner) ensureFull() error {
 		Shards:        r.opts.Shards,
 		StaleBoundary: r.opts.StaleBoundary,
 		GibbsEM:       !r.opts.DisableGibbsEM,
-		DistTable:     r.opts.DistTable,
-		FusedDraw:     r.opts.FusedDraw,
 	})
 	if err != nil {
 		return err

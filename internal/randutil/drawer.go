@@ -18,12 +18,12 @@ import (
 // fused draw consumes exactly one rng.Float64() and returns exactly the
 // index Categorical would have returned on the raw weights, provided
 // the prefix was accumulated in index order with non-positive weights
-// contributing zero (Drawer.Add does this; the sampler kernels add
-// unconditionally because their weights are products of non-negative
-// factors, for which x+0 is bitwise x). When the total is non-positive
+// contributing zero (the sampler kernels add unconditionally because
+// their weights are products of non-negative factors, for which x+0 is
+// bitwise x). When the total is non-positive
 // the draw returns -1 WITHOUT consuming a uniform, again matching
-// Categorical — this is what lets a fused chain shadow a reference
-// chain draw for draw.
+// Categorical — this is what lets the sampler's chains shadow the
+// reference sampler's Categorical draws draw for draw.
 //
 // The only divergence from Categorical is the float-slack fallback
 // (u rounding up to the exact total): Categorical returns the last
@@ -32,7 +32,7 @@ import (
 // is so small against the running total that adding it does not change
 // the float — and the fallback itself fires only on a boundary rounding
 // of u, so the combination is unobserved (the golden fingerprint matrix
-// locks fused and reference chains to identical fits).
+// locks the sampler and the reference sampler to identical fits).
 
 // InvertCrossover is the prefix length at which InvertCum switches from
 // the linear scan to the binary search. The scan's sequential,
@@ -40,9 +40,9 @@ import (
 // serialized dependent probes up to surprisingly long prefixes —
 // measured breakeven ≈128 on the bench hardware (BenchmarkInvertCum:
 // 32ns vs 43ns at n=40, parity at n=128) — so candidate-sized draws
-// (≤MaxCandidates) scan and only the blocked kernel's joint pair draw
-// (nI·nJ, up to 1600) binary-searches. The boundary behavior is locked
-// by TestInvertCumCrossoverBoundary.
+// (≤MaxCandidates) scan, and only draws over wider candidate sets
+// (AllLocationCandidates) binary-search. The boundary behavior is
+// locked by TestInvertCumCrossoverBoundary.
 const InvertCrossover = 128
 
 // InvertCum draws an index from the non-decreasing prefix-sum array cum
@@ -76,8 +76,7 @@ func InvertCum(rng *rand.Rand, cum []float64) int {
 // exactly like their unsigned bits, so the probe compares integers,
 // which the compiler lowers to a conditional move and the search's
 // inherently 50/50 comparisons cost no pipeline flush the way a scan's
-// mispredicted exit branch does. The blocked-table kernel shares this
-// for its hierarchical row pick.
+// mispredicted exit branch does.
 func SearchCum(cum []float64, u float64) int {
 	n := len(cum)
 	if n <= InvertCrossover {
@@ -119,68 +118,4 @@ func cumFallback(cum []float64) int {
 		}
 	}
 	return -1
-}
-
-// FusedCategorical is Categorical over raw weights, restructured as one
-// prefix-accumulation pass into cum (which must have len(weights)
-// capacity behind it) followed by an InvertCum inversion: one pass plus
-// a search instead of Categorical's sum pass and scan pass. Identical
-// draw semantics and RNG consumption. Callers that must keep raw
-// weights around (the blocked kernels' factored products) use this for
-// their side draws; callers that need no raw weights accumulate the
-// prefix directly in their fill loop and call InvertCum.
-func FusedCategorical(rng *rand.Rand, weights, cum []float64) int {
-	cum = cum[:len(weights)]
-	var total float64
-	for i, w := range weights {
-		if w > 0 {
-			total += w
-		}
-		cum[i] = total
-	}
-	return InvertCum(rng, cum)
-}
-
-// Drawer is the reusable fill-and-accumulate form of the fused draw:
-// Reset, Add each weight in order, Draw. It owns its prefix scratch, so
-// one Drawer per sampling stream amortizes the allocation the way the
-// sampler's per-worker draw arena does.
-type Drawer struct {
-	cum []float64
-}
-
-// Reset clears the drawer for a draw over n categories.
-func (d *Drawer) Reset(n int) {
-	if cap(d.cum) < n {
-		d.cum = make([]float64, 0, n)
-	}
-	d.cum = d.cum[:0]
-}
-
-// Add appends the next category's unnormalized weight. Non-positive
-// (and NaN) weights contribute zero mass, exactly as Categorical skips
-// them.
-func (d *Drawer) Add(w float64) {
-	total := 0.0
-	if n := len(d.cum); n > 0 {
-		total = d.cum[n-1]
-	}
-	if w > 0 {
-		total += w
-	}
-	d.cum = append(d.cum, total)
-}
-
-// Total returns the accumulated mass so far.
-func (d *Drawer) Total() float64 {
-	if len(d.cum) == 0 {
-		return 0
-	}
-	return d.cum[len(d.cum)-1]
-}
-
-// Draw consumes exactly one uniform when the total is positive and
-// returns the drawn index; -1 (consuming nothing) otherwise.
-func (d *Drawer) Draw(rng *rand.Rand) int {
-	return InvertCum(rng, d.cum)
 }

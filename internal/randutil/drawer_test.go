@@ -36,15 +36,29 @@ func randWeights(rng *rand.Rand, n int, allowNeg bool) []float64 {
 	return w
 }
 
-// TestDrawerMatchesCategorical is the coupling property: on identical
-// RNG streams, Drawer (prefix fill + single-uniform inversion) must
-// return exactly the index sequence Categorical returns on the raw
+// prefixOf accumulates weights into the prefix sums InvertCum inverts,
+// with non-positive weights contributing zero mass, exactly as
+// Categorical skips them.
+func prefixOf(w []float64) []float64 {
+	cum := make([]float64, len(w))
+	total := 0.0
+	for i, wi := range w {
+		if wi > 0 {
+			total += wi
+		}
+		cum[i] = total
+	}
+	return cum
+}
+
+// TestInvertCumMatchesCategorical is the coupling property: on identical
+// RNG streams, a prefix fill plus InvertCum's single-uniform inversion
+// must return exactly the index sequence Categorical returns on the raw
 // weights — across sizes spanning the crossover and weights including
 // zeros and negatives. This is the contract that lets the sampler's
-// fused chains shadow the reference chains draw for draw.
-func TestDrawerMatchesCategorical(t *testing.T) {
+// chains shadow the reference sampler's draw for draw.
+func TestInvertCumMatchesCategorical(t *testing.T) {
 	gen := rand.New(rand.NewSource(11))
-	var d Drawer
 	for _, n := range drawerSizes() {
 		for trial := 0; trial < 50; trial++ {
 			w := randWeights(gen, n, true)
@@ -53,42 +67,15 @@ func TestDrawerMatchesCategorical(t *testing.T) {
 			rngB := rand.New(rand.NewSource(seed))
 			for draw := 0; draw < 4; draw++ {
 				want := Categorical(rngA, w)
-				d.Reset(len(w))
-				for _, wi := range w {
-					d.Add(wi)
-				}
-				got := d.Draw(rngB)
+				got := InvertCum(rngB, prefixOf(w))
 				if got != want {
-					t.Fatalf("n=%d trial=%d draw=%d: Drawer %d != Categorical %d (weights %v)", n, trial, draw, got, want, w)
+					t.Fatalf("n=%d trial=%d draw=%d: InvertCum %d != Categorical %d (weights %v)", n, trial, draw, got, want, w)
 				}
 				// The streams must also stay aligned: -1 consumes no
 				// uniform, everything else exactly one.
 				if rngA.Float64() != rngB.Float64() {
 					t.Fatalf("n=%d trial=%d draw=%d: RNG streams diverged after draw", n, trial, draw)
 				}
-			}
-		}
-	}
-}
-
-// TestFusedCategoricalMatchesCategorical pins the raw-weights fused
-// entry point (one prefix pass + inversion) the same way.
-func TestFusedCategoricalMatchesCategorical(t *testing.T) {
-	gen := rand.New(rand.NewSource(12))
-	for _, n := range drawerSizes() {
-		cum := make([]float64, n)
-		for trial := 0; trial < 50; trial++ {
-			w := randWeights(gen, n, true)
-			seed := gen.Int63()
-			rngA := rand.New(rand.NewSource(seed))
-			rngB := rand.New(rand.NewSource(seed))
-			want := Categorical(rngA, w)
-			got := FusedCategorical(rngB, w, cum)
-			if got != want {
-				t.Fatalf("n=%d trial=%d: FusedCategorical %d != Categorical %d (weights %v)", n, trial, got, want, w)
-			}
-			if rngA.Float64() != rngB.Float64() {
-				t.Fatalf("n=%d trial=%d: RNG streams diverged", n, trial)
 			}
 		}
 	}
@@ -123,63 +110,48 @@ func TestInvertCumCrossoverBoundary(t *testing.T) {
 	}
 }
 
-// TestDrawerEdgeCases locks the degenerate inputs: empty, all-zero, and
-// all-negative draws return -1 and consume no randomness; zero and
+// TestInvertCumEdgeCases locks the degenerate inputs: empty, all-zero,
+// and all-negative draws return -1 and consume no randomness; zero and
 // negative entries between positive ones are never drawn.
-func TestDrawerEdgeCases(t *testing.T) {
-	var d Drawer
+func TestInvertCumEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range [][]float64{{}, {0}, {0, 0, 0}, {-1, -2}, {0, -3, 0}} {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
 		r1 := rand.New(rand.NewSource(99))
-		if got := d.Draw(r1); got != -1 {
+		if got := InvertCum(r1, prefixOf(w)); got != -1 {
 			t.Errorf("weights %v: got %d, want -1", w, got)
 		}
 		if r1.Float64() != rand.New(rand.NewSource(99)).Float64() {
 			t.Errorf("weights %v: a -1 draw consumed randomness", w)
 		}
-		if d.Total() != 0 {
-			t.Errorf("weights %v: total %v, want 0", w, d.Total())
-		}
 	}
 	// Zero/negative entries surrounded by mass must never be selected.
 	w := []float64{1, 0, 2, -5, 3}
+	cum := prefixOf(w)
 	counts := make([]int, len(w))
 	for i := 0; i < 5000; i++ {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
-		counts[d.Draw(rng)]++
+		counts[InvertCum(rng, cum)]++
 	}
 	if counts[1] != 0 || counts[3] != 0 {
 		t.Errorf("zero/negative categories drawn: counts %v", counts)
 	}
 }
 
-// TestDrawerFrequencies is the distributional property: empirical draw
-// frequencies track the normalized weights. (Exactness per draw is
+// TestInvertCumFrequencies is the distributional property: empirical
+// draw frequencies track the normalized weights. (Exactness per draw is
 // already locked against Categorical; this guards the inversion's use
 // of the uniform end to end.)
-func TestDrawerFrequencies(t *testing.T) {
+func TestInvertCumFrequencies(t *testing.T) {
 	w := []float64{1, 2, 3, 4, 0, 10}
 	var totalW float64
 	for _, wi := range w {
 		totalW += wi
 	}
 	rng := rand.New(rand.NewSource(5))
-	var d Drawer
+	cum := prefixOf(w)
 	const draws = 200000
 	counts := make([]int, len(w))
 	for i := 0; i < draws; i++ {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
-		counts[d.Draw(rng)]++
+		counts[InvertCum(rng, cum)]++
 	}
 	for i, wi := range w {
 		got := float64(counts[i]) / draws
@@ -211,9 +183,8 @@ func TestCumFallback(t *testing.T) {
 	}
 }
 
-// --- Micro-benchmarks: the three draw forms across both inversion
-// regimes. The Categorical/Drawer ratio at each size is the per-draw
-// saving the fused pipeline banks before any kernel restructuring.
+// --- Micro-benchmarks: Categorical's sum-and-scan and the bare
+// inversion over a prebuilt prefix, across both inversion regimes.
 
 func benchWeights(n int) []float64 {
 	rng := rand.New(rand.NewSource(1))
@@ -232,25 +203,6 @@ func BenchmarkCategoricalBySize(b *testing.B) {
 			var sink int
 			for i := 0; i < b.N; i++ {
 				sink += Categorical(rng, w)
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkDrawer(b *testing.B) {
-	for _, n := range []int{8, 16, 40, 64, 128, 256, 512} {
-		w := benchWeights(n)
-		rng := rand.New(rand.NewSource(2))
-		var d Drawer
-		b.Run(sizeName(n), func(b *testing.B) {
-			var sink int
-			for i := 0; i < b.N; i++ {
-				d.Reset(n)
-				for _, wi := range w {
-					d.Add(wi)
-				}
-				sink += d.Draw(rng)
 			}
 			_ = sink
 		})

@@ -43,33 +43,6 @@ func Categorical(rng *rand.Rand, weights []float64) int {
 	return -1
 }
 
-// CategoricalLog draws an index from unnormalized log-weights using the
-// max-shift trick, returning -1 for empty input. Entries of -Inf are
-// treated as zero probability.
-func CategoricalLog(rng *rand.Rand, logw []float64) int {
-	if len(logw) == 0 {
-		return -1
-	}
-	maxLW := math.Inf(-1)
-	for _, lw := range logw {
-		if lw > maxLW {
-			maxLW = lw
-		}
-	}
-	if math.IsInf(maxLW, -1) {
-		return -1
-	}
-	w := make([]float64, len(logw))
-	for i, lw := range logw {
-		if math.IsInf(lw, -1) {
-			w[i] = 0
-		} else {
-			w[i] = math.Exp(lw - maxLW)
-		}
-	}
-	return Categorical(rng, w)
-}
-
 // Bernoulli returns true with probability p (clamped into [0,1]).
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	if p <= 0 {

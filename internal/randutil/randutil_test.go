@@ -50,31 +50,6 @@ func TestCategoricalEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCategoricalLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// log weights proportional to [1, 2, 1] — middle should win ~50%.
-	logw := []float64{math.Log(1) - 700, math.Log(2) - 700, math.Log(1) - 700}
-	counts := make([]int, 3)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		counts[CategoricalLog(rng, logw)]++
-	}
-	if f := float64(counts[1]) / n; math.Abs(f-0.5) > 0.02 {
-		t.Errorf("middle frequency %f, want 0.5 (underflow-safe)", f)
-	}
-	if CategoricalLog(rng, nil) != -1 {
-		t.Error("empty log weights should return -1")
-	}
-	if CategoricalLog(rng, []float64{math.Inf(-1), math.Inf(-1)}) != -1 {
-		t.Error("all -Inf should return -1")
-	}
-	for i := 0; i < 100; i++ {
-		if idx := CategoricalLog(rng, []float64{math.Inf(-1), -5}); idx != 1 {
-			t.Fatalf("-Inf category drawn: %d", idx)
-		}
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	if Bernoulli(rng, 0) || Bernoulli(rng, -1) {

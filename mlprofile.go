@@ -104,33 +104,6 @@ const (
 	MLPTweetingOnly = core.TweetingOnly
 )
 
-// DistTableMode selects how the sampler evaluates the distance power law
-// d^α (ModelConfig.DistTable).
-type DistTableMode = core.DistTableMode
-
-// Distance-table modes: the quantized memoized fast path (the default)
-// vs the exact per-pair evaluation. The two are equivalence-tested
-// against each other (see DESIGN.md §7).
-const (
-	DistTableAuto = core.DistTableAuto
-	DistTableOn   = core.DistTableOn
-	DistTableOff  = core.DistTableOff
-)
-
-// FusedDrawMode selects the update kernels' categorical draw pipeline
-// (ModelConfig.FusedDraw).
-type FusedDrawMode = core.FusedDrawMode
-
-// Draw pipelines: the fused single-pass prefix-sum draw (the default)
-// vs the reference weight fill + Categorical. The two consume
-// randomness draw-for-draw identically and are equivalence-tested
-// against each other (see DESIGN.md §9).
-const (
-	FusedDrawAuto = core.FusedDrawAuto
-	FusedDrawOn   = core.FusedDrawOn
-	FusedDrawOff  = core.FusedDrawOff
-)
-
 // Fit runs MLP inference over a corpus.
 func Fit(c *Corpus, cfg ModelConfig) (*Model, error) { return core.Fit(c, cfg) }
 
