@@ -153,20 +153,36 @@ func withPsiSlot(t *testing.T, snap []byte, v int64) []byte {
 }
 
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under every golden matrix cell, encode → decode
-// must reproduce every readout bit for bit. The psi=map cells load the
-// same snapshot with the retired PsiStore slot set to the city-major
-// value: the decoder ignores the slot, so the loaded model must
-// re-encode to the original bytes (the full readout check on such a
-// file is in TestSnapshotEncodingDeterministic).
+// determinism matrix. Under every goldenMatrix worker count, the fitted
+// model's snapshot is loaded once per combination of the retired
+// DistTable, PsiStore and FusedDraw slots — every file a writer of
+// those knobs could have produced from the same fitted state. The
+// decoder ignores the PsiStore and FusedDraw slots, so each load must
+// reproduce every readout bit for bit. An exact-d^α slot loads with no
+// distance table (MAPExplainEdge then evaluates d^α exactly, as the
+// exact-path model did), so those cells check the profiles and the
+// missing table instead. Re-encoding must write the exact-d^α slot back
+// and nothing else.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	dists := []struct {
+		name string
+		slot int64
+	}{{"table", distTableSlotOn}, {"exact", distTableSlotExact}}
+	psis := []struct {
+		name string
+		slot int64
+	}{{"psi=map", 2}, {goldenPsiCell, psiStoreSlot}}
+	draws := []struct {
+		name string
+		slot int64
+	}{{"draw=scan", 2}, {goldenDrawCell, fusedDrawSlot}}
 	for _, g := range goldenMatrix {
 		if testing.Short() && g.workers != 1 {
-			continue // -short: default cell only
+			continue // -short: default worker count only
 		}
 		cfg := goldenCfg()
 		cfg.Workers = g.workers
@@ -178,26 +194,40 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 		if err := m.EncodeSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		t.Run(g.name+"/psi=map/"+goldenDrawCell, func(t *testing.T) {
-			loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withPsiSlot(t, buf.Bytes(), 2)))
-			if err != nil {
-				t.Fatal(err)
+		workers := fmt.Sprintf("workers=%d", g.workers)
+		for _, dist := range dists {
+			for _, psi := range psis {
+				for _, draw := range draws {
+					t.Run(workers+"/"+dist.name+"/"+psi.name+"/"+draw.name, func(t *testing.T) {
+						snap := withRetiredSlots(t, buf.Bytes(), retiredSlots{dist: dist.slot, psi: psi.slot, draw: draw.slot})
+						loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(snap))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if dist.slot == distTableSlotOn {
+							requireReadEquality(t, m, loaded, &d.Corpus)
+						} else {
+							requireProfileEquality(t, m, loaded, &d.Corpus)
+							if loaded.dt != nil {
+								t.Fatal("a snapshot with the exact-d^α slot loaded with a distance table")
+							}
+						}
+						var re bytes.Buffer
+						if err := loaded.EncodeSnapshot(&re); err != nil {
+							t.Fatal(err)
+						}
+						want := defaultSlots
+						want.dist = dist.slot
+						if got := readRetiredSlots(re.Bytes()); got != want {
+							t.Fatalf("re-encoded retired slots %+v, want %+v", got, want)
+						}
+						if !bytes.Equal(re.Bytes(), withRetiredSlots(t, buf.Bytes(), want)) {
+							t.Fatal("loaded model re-encodes to different bytes")
+						}
+					})
+				}
 			}
-			var re bytes.Buffer
-			if err := loaded.EncodeSnapshot(&re); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-				t.Fatal("model loaded from a city-major snapshot re-encodes to different bytes")
-			}
-		})
-		t.Run(goldenCellName(g.name), func(t *testing.T) {
-			loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireReadEquality(t, m, loaded, &d.Corpus)
-		})
+		}
 	}
 }
 
